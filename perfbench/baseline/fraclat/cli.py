@@ -1,0 +1,351 @@
+"""Command-line interface: kernel dumps, operator application, validation,
+localization ensembles, and time evolution, all with machine-readable CSV
+output.
+
+Every output file starts with a ``#``-prefixed manifest (command, resolved
+parameters, tool version, elapsed wall time); stripping comments and
+re-running with the recorded parameters reproduces the data rows byte for
+byte.  Exit codes: 0 success, 1 numerical failure, 2 argument or parse
+error, 3 budget or stability violation.
+"""
+
+from __future__ import annotations
+
+import argparse
+import math
+import sys
+import time
+
+import numpy as np
+
+from . import __version__
+from .checks import ZEROTH_POWER_CONVENTION, run_checks
+from .kernel import NearIntegerOrderError, build_table
+from .lattice import Sequence, delta, norm, parse_sequence
+from .localization import (
+    HamiltonianConfig,
+    StabilityError,
+    evolve,
+    monte_carlo,
+    sample_disorder,
+)
+from .operators import (
+    BudgetExceededError,
+    OperatorSpec,
+    QuadratureConvergenceError,
+    QuadratureScheme,
+    apply,
+)
+
+_EXIT_OK = 0
+_EXIT_NUMERICAL = 1
+_EXIT_USAGE = 2
+_EXIT_BUDGET = 3
+
+
+def _manifest(command: str, params: dict, elapsed: float) -> str:
+    lines = [f"# fraclat {command}", f"# version = {__version__}"]
+    for key in sorted(params):
+        lines.append(f"# {key} = {params[key]}")
+    lines.append(f"# elapsed_seconds = {elapsed:.3f}")
+    return "\n".join(lines) + "\n"
+
+
+def _write_output(path: str, text: str) -> None:
+    if path == "-":
+        sys.stdout.write(text)
+    else:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+
+
+def _read_sequence(path: str) -> Sequence:
+    if path == "-":
+        return parse_sequence(sys.stdin.read())
+    with open(path, "r", encoding="utf-8") as fh:
+        return parse_sequence(fh.read())
+
+
+def _parse_seeds(text: str) -> list[int]:
+    seeds: list[int] = []
+    for part in text.split(","):
+        part = part.strip()
+        if not part:
+            continue
+        if ".." in part:
+            lo_s, hi_s = part.split("..", 1)
+            lo, hi = int(lo_s), int(hi_s)
+            if hi < lo:
+                raise ValueError(f"bad seed range {part!r}")
+            seeds.extend(range(lo, hi + 1))
+        else:
+            seeds.append(int(part))
+    if not seeds:
+        raise ValueError("no seeds given")
+    return seeds
+
+
+def _make_probe(name: str) -> tuple[str, Sequence]:
+    if name == "odd":
+        return name, Sequence(-1, np.array([-1.0, 0.0, 1.0]) / math.sqrt(2.0))
+    if name == "even":
+        return name, Sequence(-1, np.array([1.0, 0.0, 1.0]) / math.sqrt(2.0))
+    if name.startswith("delta:"):
+        return name, delta(int(name.split(":", 1)[1]))
+    raise ValueError(f"unknown probe {name!r}; expected odd, even, or delta:<n>")
+
+
+# ---------------------------------------------------------------------------
+# subcommands
+# ---------------------------------------------------------------------------
+
+
+def _cmd_kernel(args) -> int:
+    t0 = time.perf_counter()
+    table = build_table(args.s, args.radius)
+    params = {
+        "s": repr(float(args.s)),
+        "radius": args.radius,
+        "A_s": repr(table.total_sum),
+        "tail_bound": repr(table.tail_bound),
+    }
+    lines = ["k,K_s_k"]
+    for k in range(args.radius + 1):
+        lines.append(f"{k},{float(table.values[k])!r}")
+    body = "\n".join(lines) + "\n"
+    _write_output(args.out, _manifest("kernel", params, time.perf_counter() - t0) + body)
+    print(f"A_s = {table.total_sum!r}")
+    print(f"tail_bound = {table.tail_bound!r}")
+    return _EXIT_OK
+
+
+def _cmd_apply(args) -> int:
+    t0 = time.perf_counter()
+    u = delta(0) if args.input is None else _read_sequence(args.input)
+    spec = OperatorSpec(args.s, args.radius, args.path, args.budget)
+    scheme = QuadratureScheme(
+        split_point=args.quad_split,
+        nodes_inner=args.quad_inner,
+        nodes_outer=args.quad_outer,
+        z_max=args.quad_zmax,
+    )
+    result = apply(u, spec, scheme)
+    params = {
+        "s": repr(float(args.s)),
+        "radius": args.radius,
+        "path": args.path,
+        "error_budget": repr(float(args.budget)),
+        "input": args.input or "delta:0",
+        "trunc_bound": repr(result.trunc_bound),
+    }
+    lines = ["n,value"]
+    for n, val in zip(result.indices(), result.values):
+        lines.append(f"{int(n)},{float(val)!r}")
+    body = "\n".join(lines) + "\n"
+    _write_output(args.out, _manifest("apply", params, time.perf_counter() - t0) + body)
+    return _EXIT_OK
+
+
+def _cmd_validate(args) -> int:
+    results = run_checks(args.level)
+    width = max(len(r.name) for r in results)
+    print(f"{'check'.ljust(width)}  {'max dev':>12}  {'tol':>9}  status  seconds")
+    failed = False
+    for r in results:
+        status = "PASS" if r.passed else "FAIL"
+        failed = failed or not r.passed
+        print(
+            f"{r.name.ljust(width)}  {r.max_dev:>12.3e}  {r.tol:>9.0e}  "
+            f"{status:<6}  {r.seconds:7.2f}"
+        )
+    print(ZEROTH_POWER_CONVENTION)
+    return _EXIT_NUMERICAL if failed else _EXIT_OK
+
+
+def _cmd_localize(args) -> int:
+    t0 = time.perf_counter()
+    seeds = _parse_seeds(args.seeds)
+    probes = [_make_probe(name.strip()) for name in args.probes.split(",") if name.strip()]
+    report = monte_carlo(
+        s=args.s,
+        c=args.c,
+        window_radius=args.window,
+        kernel_radius=args.kernel_radius,
+        seeds=seeds,
+        depth=args.depth,
+        probes=probes,
+        residual_tol=args.residual_tol,
+        max_workers=args.threads,
+    )
+    params = {
+        "s": repr(float(args.s)),
+        "c": repr(float(args.c)),
+        "window": args.window,
+        "kernel_radius": args.kernel_radius,
+        "depth": args.depth,
+        "seeds": args.seeds,
+        "probes": args.probes,
+        "residual_tol": repr(float(args.residual_tol)),
+    }
+    body = report.to_csv()
+    _write_output(
+        args.out, _manifest("localize", params, time.perf_counter() - t0) + body
+    )
+    sys.stdout.write(report.summary_csv())
+    return _EXIT_OK
+
+
+def _write_state_csv(path: str, params: dict, state, elapsed: float) -> None:
+    lines = ["n,value"]
+    for n, val in zip(state.indices(), state.values):
+        lines.append(f"{int(n)},{float(val)!r}")
+    _write_output(path, _manifest("evolve", params, elapsed) + "\n".join(lines) + "\n")
+
+
+def _cmd_evolve(args) -> int:
+    t0 = time.perf_counter()
+    disorder = sample_disorder(args.c, args.seed, args.window)
+    config = HamiltonianConfig(
+        s=args.s, kernel_radius=args.kernel_radius, disorder=disorder
+    )
+    u0 = delta(0) if args.input is None else _read_sequence(args.input)
+    sign = +1 if args.sign == "plus" else -1
+    if args.t == 0.0:
+        result = u0
+    elif args.snapshot_every:
+        if args.out == "-":
+            raise ValueError("snapshots require --out to be a file path")
+        step = float(args.snapshot_every)
+        if step < args.dt:
+            raise ValueError("snapshot interval must be at least dt")
+        state, t = u0, 0.0
+        while t + step < args.t * (1.0 - 1e-12):
+            state = evolve(state, config, step, args.dt, sign=sign)
+            t += step
+            snap_params = {"t": repr(t), "seed": args.seed, "sign": args.sign}
+            _write_state_csv(
+                f"{args.out}.t{t:g}.csv", snap_params, state, time.perf_counter() - t0
+            )
+        result = evolve(state, config, args.t - t, min(args.dt, args.t - t), sign=sign)
+    else:
+        result = evolve(u0, config, args.t, args.dt, sign=sign)
+    params = {
+        "s": repr(float(args.s)),
+        "c": repr(float(args.c)),
+        "seed": args.seed,
+        "window": args.window,
+        "kernel_radius": args.kernel_radius,
+        "t_end": repr(float(args.t)),
+        "dt": repr(float(args.dt)),
+        "sign": args.sign,
+        "trunc_bound": repr(result.trunc_bound),
+        "mass": repr(float(sum(result.values))),
+    }
+    lines = ["n,value"]
+    for n, val in zip(result.indices(), result.values):
+        lines.append(f"{int(n)},{float(val)!r}")
+    body = "\n".join(lines) + "\n"
+    _write_output(args.out, _manifest("evolve", params, time.perf_counter() - t0) + body)
+    print(f"norm = {norm(result)!r}")
+    return _EXIT_OK
+
+
+# ---------------------------------------------------------------------------
+# parser
+# ---------------------------------------------------------------------------
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="fraclat",
+        description="Fractional powers of the discrete Laplace operator on the "
+        "integer lattice: kernel dumps, operator application, identity "
+        "validation, localization ensembles, time evolution.",
+    )
+    parser.add_argument("--version", action="version", version=f"fraclat {__version__}")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("kernel", help="dump a kernel table as CSV")
+    p.add_argument("--s", type=float, required=True, help="fractional order (> 0)")
+    p.add_argument("--radius", type=int, required=True, help="table radius (>= 2)")
+    p.add_argument("--out", default="-", help="output path ('-' for stdout)")
+    p.set_defaults(func=_cmd_kernel)
+
+    p = sub.add_parser("apply", help="apply the operator to a sequence")
+    p.add_argument("--s", type=float, required=True)
+    p.add_argument("--radius", type=int, default=64)
+    p.add_argument(
+        "--path",
+        choices=("series", "binomial", "quadrature", "composed"),
+        default="series",
+    )
+    p.add_argument("--input", default=None, help="sequence file ('-' for stdin; default delta at 0)")
+    p.add_argument("--budget", type=float, default=math.inf, help="truncation error budget")
+    p.add_argument("--quad-split", dest="quad_split", type=float, default=1.0)
+    p.add_argument("--quad-inner", dest="quad_inner", type=int, default=96)
+    p.add_argument("--quad-outer", dest="quad_outer", type=int, default=96)
+    p.add_argument("--quad-zmax", dest="quad_zmax", type=float, default=200.0)
+    p.add_argument("--out", default="-")
+    p.set_defaults(func=_cmd_apply)
+
+    p = sub.add_parser("validate", help="run the cross-path identity suites")
+    p.add_argument("--level", choices=("quick", "full"), default="quick")
+    p.set_defaults(func=_cmd_validate)
+
+    p = sub.add_parser("localize", help="seeded disorder ensemble with span residuals")
+    p.add_argument("--s", type=float, required=True)
+    p.add_argument("--c", type=float, required=True, help="disorder amplitude")
+    p.add_argument("--seeds", required=True, help="e.g. '1,2,3' or '1..32'")
+    p.add_argument("--window", type=int, default=256, help="window radius W")
+    p.add_argument("--kernel-radius", dest="kernel_radius", type=int, default=64)
+    p.add_argument("--depth", type=int, default=16)
+    p.add_argument("--probes", default="odd", help="comma list: odd, even, delta:<n>")
+    p.add_argument("--residual-tol", dest="residual_tol", type=float, default=1e-12)
+    p.add_argument("--threads", type=int, default=None, help="worker cap (default $FRACLAT_THREADS or 1)")
+    p.add_argument("--out", default="-")
+    p.set_defaults(func=_cmd_localize)
+
+    p = sub.add_parser("evolve", help="integrate u' = +/- H u from delta at 0")
+    p.add_argument("--s", type=float, required=True)
+    p.add_argument("--c", type=float, default=0.0)
+    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--t", type=float, required=True, help="final time")
+    p.add_argument("--dt", type=float, required=True, help="RK4 step")
+    p.add_argument("--sign", choices=("plus", "minus"), default="plus")
+    p.add_argument("--window", type=int, default=128)
+    p.add_argument("--kernel-radius", dest="kernel_radius", type=int, default=32)
+    p.add_argument("--input", default=None)
+    p.add_argument(
+        "--snapshot-every",
+        dest="snapshot_every",
+        type=float,
+        default=None,
+        help="also write intermediate states every this many time units",
+    )
+    p.add_argument("--out", default="-")
+    p.set_defaults(func=_cmd_evolve)
+
+    return parser
+
+
+def main(argv=None) -> int:
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    try:
+        return args.func(args)
+    except (BudgetExceededError, StabilityError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return _EXIT_BUDGET
+    except (QuadratureConvergenceError, OverflowError, FloatingPointError) as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return _EXIT_NUMERICAL
+    except NearIntegerOrderError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return _EXIT_USAGE
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return _EXIT_USAGE
+
+
+if __name__ == "__main__":
+    sys.exit(main())

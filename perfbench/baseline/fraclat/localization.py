@@ -1,0 +1,475 @@
+"""Random fractional Schrodinger operators and Krylov-span diagnostics.
+
+The model is H = (-Lap)^s + V on the lattice, where V is a diagonal of
+i.i.d. uniform[-c/2, c/2] disorder.  The harness computes forward orbits
+H^k delta_0, orthonormalizes them into a Krylov basis, and records the
+distance of probe vectors to the growing span: a unit vector whose distance
+stays bounded away from zero (with positive probability over the disorder)
+certifies absolutely continuous spectrum, i.e. absence of localization.
+The ensemble runner reports residuals only; it deliberately does not
+classify spectra.
+
+All lattice runs live on a finite window [-W, W] with zero extension
+outside; the mass clipped at the boundary is reported through the result's
+``trunc_bound``.  Disorder is drawn from a counter-based generator keyed by
+(seed, site), so the value at a site does not depend on the window size.
+"""
+
+from __future__ import annotations
+
+import math
+import os
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass, field
+
+import numpy as np
+from numpy.random import Generator, Philox
+
+from .kernel import kernel_sum
+from .lattice import Sequence, delta, norm
+from .operators import OperatorSpec, _convolve, _kernel_row_cached, apply_fractional
+
+__all__ = [
+    "SupportOverflowError",
+    "StabilityError",
+    "DisorderRealization",
+    "sample_disorder",
+    "HamiltonianConfig",
+    "apply_hamiltonian",
+    "OrbitBasis",
+    "orbit_basis",
+    "krylov_residual",
+    "evolve",
+    "EnsembleReport",
+    "monte_carlo",
+]
+
+_MASK64 = (1 << 64) - 1
+_KEY_SALT = 0x9E3779B97F4A7C15  # tags this use of Philox; arbitrary fixed odd word
+
+
+class SupportOverflowError(ValueError):
+    """Sequence support does not fit inside the configured window."""
+
+
+class StabilityError(RuntimeError):
+    """Explicit time step exceeds the stability bound 0.5 / (A_s + c/2)."""
+
+
+@dataclass(frozen=True)
+class DisorderRealization:
+    """Window of i.i.d. uniform[-c/2, c/2] site potentials with its seed.
+
+    ``potential[i]`` is the value at site i - window_radius.  Regenerating
+    with the same (seed, amplitude, window_radius) is bit-exact, and the
+    value at a fixed site is independent of the window size.
+    """
+
+    amplitude: float
+    seed: int
+    window_radius: int
+    potential: np.ndarray
+
+    def __post_init__(self):
+        pot = np.asarray(self.potential, dtype=float)
+        pot.setflags(write=False)
+        object.__setattr__(self, "potential", pot)
+
+    def at(self, n: int) -> float:
+        i = int(n) + self.window_radius
+        if not 0 <= i < self.potential.size:
+            raise IndexError(f"site {n} outside disorder window")
+        return float(self.potential[i])
+
+
+def _site_uniform(seed: int, site: int, half_amp: float) -> float:
+    bitgen = Philox(
+        counter=np.array([site & _MASK64, 0, 0, 0], dtype=np.uint64),
+        key=np.array([seed & _MASK64, _KEY_SALT], dtype=np.uint64),
+    )
+    return float(Generator(bitgen).uniform(-half_amp, half_amp))
+
+
+def sample_disorder(c: float, seed: int, window_radius: int) -> DisorderRealization:
+    """Draw the disorder realization for (seed, amplitude c) on [-W, W].
+
+    Each site consumes its own counter block of the Philox generator keyed
+    by the seed, which makes the draw at site n a pure function of (seed, n).
+    """
+    c = float(c)
+    if c < 0.0:
+        raise ValueError("disorder amplitude must be non-negative")
+    w = int(window_radius)
+    if w < 1:
+        raise ValueError("window_radius must be a positive integer")
+    half = 0.5 * c
+    pot = np.array([_site_uniform(seed, n, half) for n in range(-w, w + 1)])
+    return DisorderRealization(amplitude=c, seed=int(seed), window_radius=w, potential=pot)
+
+
+@dataclass(frozen=True)
+class HamiltonianConfig:
+    """H = (-Lap)^s + disorder diagonal on a finite window.
+
+    ``kernel_radius`` is the truncation radius handed to the kernel-series
+    path; it must fit inside the disorder window.  The only supported
+    boundary policy is zero extension with clipped-mass reporting.
+    """
+
+    s: float
+    kernel_radius: int
+    disorder: DisorderRealization
+    boundary: str = "zero-extension"
+
+    def __post_init__(self):
+        if self.s <= 0.0:
+            raise ValueError("order must be positive")
+        if self.kernel_radius < 1:
+            raise ValueError("kernel_radius must be a positive integer")
+        if self.kernel_radius > self.disorder.window_radius:
+            raise ValueError("kernel_radius must not exceed the window radius")
+        if self.boundary != "zero-extension":
+            raise ValueError(f"unsupported boundary policy {self.boundary!r}")
+
+    @property
+    def window_radius(self) -> int:
+        return self.disorder.window_radius
+
+
+def _clip(seq: Sequence, lo: int, hi: int) -> tuple[Sequence, float]:
+    """Restrict to [lo, hi]; returns the clipped sequence and max dropped magnitude."""
+    if len(seq) == 0 or (seq.offset >= lo and seq.end - 1 <= hi):
+        return seq, 0.0
+    dropped = 0.0
+    if seq.offset < lo:
+        dropped = float(np.max(np.abs(seq.values[: lo - seq.offset])))
+    if seq.end - 1 > hi:
+        tail = float(np.max(np.abs(seq.values[hi + 1 - seq.offset :])))
+        dropped = max(dropped, tail)
+    clipped = Sequence(lo, seq.window(lo, hi), trunc_bound=seq.trunc_bound)
+    return clipped, dropped
+
+
+def apply_hamiltonian(u: Sequence, config: HamiltonianConfig) -> Sequence:
+    """(H u)(n) = ((-Lap)^s u)(n) + eps_n u(n), clipped to the window.
+
+    The support of u must already lie inside [-W, W]; the fractional part is
+    the kernel-series path and whatever it places outside the window is
+    dropped, with the dropped magnitude added to the result's trunc_bound.
+    """
+    w = config.window_radius
+    if len(u) and (u.offset < -w or u.end - 1 > w):
+        raise SupportOverflowError(
+            f"support [{u.offset}, {u.end - 1}] exceeds window [-{w}, {w}]"
+        )
+    if len(u) == 0:
+        return u
+    frac = apply_fractional(u, OperatorSpec(config.s, config.kernel_radius, "series"))
+    clipped, clip_mass = _clip(frac, -w, w)
+    out = clipped.window(-w, w)
+    pot = config.disorder.potential
+    i0 = u.offset + w
+    out[i0 : i0 + len(u)] += pot[i0 : i0 + len(u)] * u.values
+    return Sequence(-w, out, trunc_bound=clipped.trunc_bound + clip_mass)
+
+
+@dataclass(frozen=True)
+class OrbitBasis:
+    """Orthonormalized basis of span{H^k delta_0} with per-step iterate norms.
+
+    ``raw_norms[k]`` is the norm of the k-th orbit iterate before
+    orthonormalization (``raw_norms[0] = 1`` for delta_0, afterwards
+    ||H b_{k-1}|| with b_{k-1} the previous basis vector); vectors and
+    raw_norms have equal length.  Construction stops early when an iterate's
+    component orthogonal to the current span falls below ``residual_tol``
+    relative to the iterate's norm (numerical detection of an invariant
+    subspace).
+    """
+
+    vectors: list[Sequence]
+    raw_norms: list[float]
+    residual_tol: float
+
+    def __len__(self) -> int:
+        return len(self.vectors)
+
+    def prefix(self, depth: int) -> "OrbitBasis":
+        d = min(int(depth), len(self.vectors))
+        return OrbitBasis(self.vectors[:d], self.raw_norms[:d], self.residual_tol)
+
+
+def orbit_basis(
+    config: HamiltonianConfig, depth: int, residual_tol: float = 1e-12
+) -> OrbitBasis:
+    """Build the Krylov basis of H from delta_0 up to the requested depth.
+
+    Each new direction is H applied to the most recent orthonormal vector,
+    orthogonalized by modified Gram-Schmidt with one full reorthogonalization
+    pass.  (Orthonormalizing the raw power iterates H^k delta_0 spans the
+    same space in exact arithmetic but loses the span geometrically in
+    floating point as the iterates align with the dominant spectral weight;
+    this construction keeps both the Gram matrix and symmetry properties of
+    the span at the 1e-14 level to arbitrary depth.)
+    """
+    depth = int(depth)
+    if depth < 1:
+        raise ValueError("depth must be a positive integer")
+    if residual_tol <= 0.0:
+        raise ValueError("residual_tol must be positive")
+    w = config.window_radius
+    basis: list[np.ndarray] = []
+    raw_norms: list[float] = []
+    for k in range(depth):
+        if k == 0:
+            dense = delta(0).window(-w, w)
+        else:
+            iterate = apply_hamiltonian(Sequence(-w, basis[-1]), config)
+            dense = iterate.window(-w, w)
+        raw = float(np.linalg.norm(dense))
+        if raw == 0.0:
+            break
+        b = dense.copy()
+        for _ in range(2):  # MGS sweep plus one full reorthogonalization
+            for q in basis:
+                b -= np.dot(q, b) * q
+        r = float(np.linalg.norm(b))
+        if r < residual_tol * raw:
+            break
+        raw_norms.append(raw)
+        basis.append(b / r)
+    vectors = [Sequence(-w, b) for b in basis]
+    return OrbitBasis(vectors=vectors, raw_norms=raw_norms, residual_tol=residual_tol)
+
+
+def krylov_residual(v: Sequence, basis: OrbitBasis) -> float:
+    """Distance ||v - sum_j <v, b_j> b_j|| from unit v to the orbit span."""
+    nv = norm(v)
+    if abs(nv - 1.0) > 1e-10:
+        raise ValueError(f"probe must be unit norm, got ||v|| = {nv!r}")
+    if not basis.vectors:
+        return 1.0
+    lo = min(v.offset, min(b.offset for b in basis.vectors))
+    hi = max(v.end, max(b.end for b in basis.vectors)) - 1
+    vd = v.window(lo, hi)
+    resid = vd.copy()
+    for b in basis.vectors:
+        bd = b.window(lo, hi)
+        resid -= np.dot(bd, vd) * bd
+    return float(np.linalg.norm(resid))
+
+
+# ---------------------------------------------------------------------------
+# time evolution
+# ---------------------------------------------------------------------------
+
+
+def evolve(
+    u0: Sequence,
+    config: HamiltonianConfig,
+    t_end: float,
+    dt: float,
+    sign: int = +1,
+) -> Sequence:
+    """Integrate u' = sign * H u by classical fixed-step RK4.
+
+    ``sign=+1`` follows the evolution equation literally; ``sign=-1`` gives
+    the diffusive direction u' = -(-Lap)^s u - V u.  The step must satisfy
+    the explicit-scheme heuristic dt <= 0.5 / (A_s + c/2); the number of
+    steps is round(t_end / dt) and the step is snapped to t_end / steps so
+    the integration lands on t_end exactly.
+
+    The right-hand side is the window restriction of H with every lag
+    reachable inside [-W, W], i.e. the same sums ``apply_hamiltonian``
+    evaluates on window-spanning states; equivalently, the matrix
+    (A_s + eps_n) I - Toeplitz(K_s) on the window.
+    """
+    t_end = float(t_end)
+    dt = float(dt)
+    if dt <= 0.0:
+        raise ValueError("dt must be positive")
+    if t_end < 0.0:
+        raise ValueError("t_end must be non-negative")
+    if sign not in (+1, -1):
+        raise ValueError("sign must be +1 or -1")
+    if t_end == 0.0:
+        return u0
+    if t_end < dt:
+        raise ValueError("t_end must be at least dt")
+    a_s = kernel_sum(config.s)
+    dt_max = 0.5 / (a_s + 0.5 * config.disorder.amplitude)
+    if dt > dt_max * (1.0 + 1e-12):
+        raise StabilityError(f"dt = {dt} exceeds stability bound {dt_max:.6g}")
+
+    w = config.window_radius
+    if len(u0) and (u0.offset < -w or u0.end - 1 > w):
+        raise SupportOverflowError("initial state exceeds the window")
+    steps = max(1, round(t_end / dt))
+    h = t_end / steps
+
+    length = 2 * w + 1
+    row = _kernel_row_cached(config.s, 2 * w)
+    nz = np.flatnonzero(row)
+    r_eff = int(nz[-1]) if nz.size else 0
+    kern = (
+        np.concatenate([row[r_eff:0:-1], row[: r_eff + 1]]) if r_eff else np.zeros(1)
+    )
+    pot = config.disorder.potential
+    diag = a_s + pot
+    clip_activity = 0.0
+
+    def rhs(y: np.ndarray) -> np.ndarray:
+        nonlocal clip_activity
+        out = diag * y
+        if r_eff:
+            conv = _convolve(y, kern)
+            out -= conv[r_eff : r_eff + length]
+            edge = max(
+                float(np.max(np.abs(conv[:r_eff]))),
+                float(np.max(np.abs(conv[r_eff + length :]))),
+            )
+            clip_activity = max(clip_activity, edge)
+        return sign * out
+
+    y = u0.window(-w, w)
+    for _ in range(steps):
+        k1 = rhs(y)
+        k2 = rhs(y + 0.5 * h * k1)
+        k3 = rhs(y + 0.5 * h * k2)
+        k4 = rhs(y + h * k3)
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    # crude bound on the boundary intrusion: strongest clipped stage value
+    # integrated over the run
+    return Sequence(-w, y, trunc_bound=clip_activity * t_end)
+
+
+# ---------------------------------------------------------------------------
+# ensemble runner
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class EnsembleReport:
+    """Per-seed residual rows plus ensemble statistics.
+
+    ``rows`` holds (seed, probe_id, depth, residual) in seed order, depths
+    1..depth per probe; the CSV rendering is a pure function of the inputs,
+    so identical parameters give identical bytes.
+    """
+
+    params: dict
+    rows: list[tuple[int, str, int, float]]
+    summary: dict = field(default_factory=dict)
+
+    def to_csv(self) -> str:
+        lines = []
+        for key, val in self.params.items():
+            lines.append(f"# {key} = {val}")
+        lines.append("seed,probe_id,depth,residual")
+        for seed, pid, depth, res in self.rows:
+            lines.append(f"{seed},{pid},{depth},{res!r}")
+        return "\n".join(lines) + "\n"
+
+    def summary_csv(self) -> str:
+        lines = ["probe_id,depth,mean,min,max"]
+        for (pid, depth), (mean, lo, hi) in sorted(self.summary.items()):
+            lines.append(f"{pid},{depth},{mean!r},{lo!r},{hi!r}")
+        return "\n".join(lines) + "\n"
+
+
+def _seed_rows(
+    s: float,
+    c: float,
+    window_radius: int,
+    kernel_radius: int,
+    seed: int,
+    depth: int,
+    probes: list[tuple[str, Sequence]],
+    residual_tol: float,
+) -> list[tuple[int, str, int, float]]:
+    disorder = sample_disorder(c, seed, window_radius)
+    config = HamiltonianConfig(s=s, kernel_radius=kernel_radius, disorder=disorder)
+    basis = orbit_basis(config, depth, residual_tol)
+    w = window_radius
+    dense_basis = [b.window(-w, w) for b in basis.vectors]
+    rows = []
+    for pid, probe in probes:
+        pd = probe.window(-w, w)
+        resid = pd.copy()
+        res_norm = float(np.linalg.norm(resid))
+        for d in range(1, depth + 1):
+            if d - 1 < len(dense_basis):
+                q = dense_basis[d - 1]
+                resid -= np.dot(q, pd) * q
+                res_norm = float(np.linalg.norm(resid))
+            rows.append((seed, pid, d, res_norm))
+    return rows
+
+
+def monte_carlo(
+    s: float,
+    c: float,
+    window_radius: int,
+    kernel_radius: int,
+    seeds: list[int],
+    depth: int,
+    probes: list[tuple[str, Sequence]],
+    residual_tol: float = 1e-12,
+    max_workers: int | None = None,
+) -> EnsembleReport:
+    """Run the seeded disorder ensemble and collect span residuals.
+
+    For every seed the full pipeline (disorder, orbit, per-depth residual of
+    every probe) is deterministic, and seeds are processed independently, so
+    the report is bit-reproducible for a fixed argument set regardless of
+    ``max_workers`` (default: the FRACLAT_THREADS environment variable,
+    falling back to 1).
+    """
+    seeds = [int(x) for x in seeds]
+    depth = int(depth)
+    if depth < 1:
+        raise ValueError("depth must be a positive integer")
+    probes = list(probes)
+    for pid, probe in probes:
+        if abs(norm(probe) - 1.0) > 1e-10:
+            raise ValueError(f"probe {pid!r} is not unit norm")
+        if len(probe) and (probe.offset < -window_radius or probe.end - 1 > window_radius):
+            raise SupportOverflowError(f"probe {pid!r} exceeds the window")
+    if max_workers is None:
+        max_workers = int(os.environ.get("FRACLAT_THREADS", "1"))
+    max_workers = max(1, int(max_workers))
+
+    def job(seed: int):
+        return _seed_rows(
+            s, c, window_radius, kernel_radius, seed, depth, probes, residual_tol
+        )
+
+    if max_workers == 1 or len(seeds) <= 1:
+        per_seed = [job(seed) for seed in seeds]
+    else:
+        with ThreadPoolExecutor(max_workers=max_workers) as pool:
+            per_seed = list(pool.map(job, seeds))
+
+    rows = [row for chunk in per_seed for row in chunk]
+    summary: dict[tuple[str, int], tuple[float, float, float]] = {}
+    for pid, _ in probes:
+        for d in range(1, depth + 1):
+            vals = [r[3] for r in rows if r[1] == pid and r[2] == d]
+            summary[(pid, d)] = (
+                float(math.fsum(vals) / len(vals)),
+                min(vals),
+                max(vals),
+            )
+    from . import __version__
+
+    params = {
+        "s": repr(float(s)),
+        "c": repr(float(c)),
+        "window_radius": int(window_radius),
+        "kernel_radius": int(kernel_radius),
+        "depth": depth,
+        "residual_tol": repr(float(residual_tol)),
+        "seeds": ",".join(str(x) for x in seeds),
+        "probes": ",".join(pid for pid, _ in probes),
+        "version": __version__,
+    }
+    return EnsembleReport(params=params, rows=rows, summary=summary)
