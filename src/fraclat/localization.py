@@ -23,7 +23,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.random import Generator, Philox
+from numpy.random import Philox
 
 from .kernel import kernel_sum
 from .lattice import Sequence, delta, norm
@@ -82,29 +82,37 @@ class DisorderRealization:
         return float(self.potential[i])
 
 
-def _site_uniform(seed: int, site: int, half_amp: float) -> float:
+def _counter_run(seed: int, start: int, n: int) -> np.ndarray:
+    """First 64-bit word of Philox blocks start, start+1, ..., start+n-1."""
     bitgen = Philox(
-        counter=np.array([site & _MASK64, 0, 0, 0], dtype=np.uint64),
+        counter=np.array([start & _MASK64, 0, 0, 0], dtype=np.uint64),
         key=np.array([seed & _MASK64, _KEY_SALT], dtype=np.uint64),
     )
-    return float(Generator(bitgen).uniform(-half_amp, half_amp))
+    return bitgen.random_raw(4 * n)[::4]
 
 
 def sample_disorder(c: float, seed: int, window_radius: int) -> DisorderRealization:
     """Draw the disorder realization for (seed, amplitude c) on [-W, W].
 
-    Each site consumes its own counter block of the Philox generator keyed
-    by the seed, which makes the draw at site n a pure function of (seed, n).
+    Site n takes the first word of Philox counter block n (mod 2^64) under
+    a key made of the seed, so the draw at site n is a pure function of
+    (seed, n).  The blocks are drawn as two contiguous runs, one for the
+    sites -W..-1 (counters 2^64 - W .. 2^64 - 1) and one for 0..W, because a
+    single run across the wrap would carry into the second counter word.
+    Each word is mapped to [-c/2, c/2) exactly as ``Generator.uniform``
+    maps it: low + (high - low) * ((word >> 11) * 2^-53).
     """
     c = float(c)
-    if c < 0.0:
-        raise ValueError("disorder amplitude must be non-negative")
+    if not math.isfinite(c) or c < 0.0:
+        raise ValueError(f"disorder amplitude must be finite and non-negative, got {c!r}")
     w = int(window_radius)
     if w < 1:
         raise ValueError("window_radius must be a positive integer")
+    seed = int(seed)
     half = 0.5 * c
-    pot = np.array([_site_uniform(seed, n, half) for n in range(-w, w + 1)])
-    return DisorderRealization(amplitude=c, seed=int(seed), window_radius=w, potential=pot)
+    raw = np.concatenate([_counter_run(seed, -w, w), _counter_run(seed, 0, w + 1)])
+    pot = -half + (half - (-half)) * ((raw >> np.uint64(11)) * 2.0**-53)
+    return DisorderRealization(amplitude=c, seed=seed, window_radius=w, potential=pot)
 
 
 @dataclass(frozen=True)
@@ -122,8 +130,8 @@ class HamiltonianConfig:
     boundary: str = "zero-extension"
 
     def __post_init__(self):
-        if self.s <= 0.0:
-            raise ValueError("order must be positive")
+        if not math.isfinite(self.s) or self.s <= 0.0:
+            raise ValueError(f"order must be positive and finite, got {self.s!r}")
         if self.kernel_radius < 1:
             raise ValueError("kernel_radius must be a positive integer")
         if self.kernel_radius > self.disorder.window_radius:

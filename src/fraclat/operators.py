@@ -86,14 +86,14 @@ class OperatorSpec:
         object.__setattr__(self, "s", float(self.s))
         object.__setattr__(self, "radius", int(self.radius))
         object.__setattr__(self, "error_budget", float(self.error_budget))
-        if self.s <= 0.0:
-            raise ValueError("order must be positive")
+        if not math.isfinite(self.s) or self.s <= 0.0:
+            raise ValueError(f"order must be positive and finite, got {self.s!r}")
         if self.radius < 1:
             raise ValueError("radius must be a positive integer")
         if self.path not in PATHS:
             raise ValueError(f"unknown path {self.path!r}; expected one of {PATHS}")
-        if self.error_budget < 0.0:
-            raise ValueError("error_budget must be non-negative")
+        if math.isnan(self.error_budget) or self.error_budget < 0.0:
+            raise ValueError(f"error_budget must be non-negative, got {self.error_budget!r}")
         near_int = abs(self.s - round(self.s)) <= NEAR_INTEGER_TOL
         if self.path == "binomial" and not (near_int and round(self.s) >= 1):
             raise ValueError("path 'binomial' requires a positive integer order")

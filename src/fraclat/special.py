@@ -201,28 +201,31 @@ _BESSEL_ASYMPTOTIC_MIN_X = 1e4
 def _bessel_row_series(x: float, kmax: int) -> np.ndarray:
     """e^{-x} I_k(x) for k = 0..kmax by the ascending series, x <= 30.
 
-    All terms are positive, so there is no cancellation; each order is summed
-    until the term drops below 1e-18 of the partial sum.
+    All orders are summed together: one vectorised log-Gamma call gives the
+    leading terms, and each step j multiplies every still-active order's
+    term by (x/2)^2 / (j (j + k)).  All terms are positive, so there is no
+    cancellation; an order leaves the active set once its term drops below
+    1e-18 of its partial sum.  Orders whose scaled leading term underflows
+    (below e^-745) are never summed and stay exactly 0.
     """
     q = 0.25 * x * x
-    scale = math.exp(-x)
+    k = np.arange(kmax + 1)
+    log_t0 = k * math.log(0.5 * x) - log_gamma(k + 1.0)
     out = np.zeros(kmax + 1)
-    log_half_x = math.log(0.5 * x)
-    for k in range(kmax + 1):
-        log_t0 = k * log_half_x - log_gamma(k + 1.0)
-        if log_t0 - x < -745.0:  # scaled leading term underflows
-            continue
-        term = math.exp(log_t0)
-        total = term
-        j = 0
-        while True:
-            j += 1
-            term *= q / (j * (j + k))
-            total += term
-            if term <= 1e-18 * total:
-                break
-        out[k] = scale * total
-    return out
+    active = np.flatnonzero(log_t0 - x >= -745.0)
+    term = np.exp(log_t0[active])
+    total = term.copy()
+    j = 0
+    while active.size:
+        j += 1
+        term *= q / (j * (j + active))
+        total += term
+        done = term <= 1e-18 * total
+        if done.any():
+            out[active[done]] = total[done]
+            keep = ~done
+            active, term, total = active[keep], term[keep], total[keep]
+    return math.exp(-x) * out
 
 
 def _bessel_row_recurrence(x: float, kmax: int) -> np.ndarray:

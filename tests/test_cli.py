@@ -264,6 +264,14 @@ def test_localize_bad_probe_exits_2(tmp_path):
     assert rc == 2
 
 
+def test_localize_nan_amplitude_exits_2(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    rc = main(["localize", "--s", "0.5", "--c", "nan", "--seeds", "1", "--out", str(out)])
+    assert rc == 2
+    assert not out.exists()
+    assert capsys.readouterr().out == ""
+
+
 # ---------------------------------------------------------------------------
 # evolve
 # ---------------------------------------------------------------------------
@@ -312,6 +320,14 @@ def test_evolve_unstable_step_exits_3(tmp_path):
         ["evolve", "--s", "1", "--t", "1", "--dt", "0.5", "--out", str(tmp_path / "x.csv")]
     )
     assert rc == 3
+
+
+def test_evolve_infinite_amplitude_exits_2(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    rc = main(["evolve", "--s", "1", "--c", "inf", "--t", "1", "--dt", "0.01", "--out", str(out)])
+    assert rc == 2
+    assert not out.exists()
+    assert capsys.readouterr().out == ""
 
 
 def test_evolve_snapshots(tmp_path):

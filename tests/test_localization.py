@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.random import Generator, Philox
 
 from fraclat import (
     HamiltonianConfig,
@@ -26,6 +27,7 @@ from fraclat import (
     sample_disorder,
     sup_dist,
 )
+from fraclat.localization import _KEY_SALT, _MASK64
 from conftest import random_sequence
 
 ODD_PROBE = Sequence(-1, np.array([-1.0, 0.0, 1.0]) / math.sqrt(2.0))
@@ -75,8 +77,36 @@ def test_disorder_seed_sensitivity():
 def test_disorder_validation():
     with pytest.raises(ValueError):
         sample_disorder(-1.0, 1, 8)
+    for c in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            sample_disorder(c, 1, 8)
     with pytest.raises(ValueError):
         sample_disorder(1.0, 1, 0)
+
+
+def _site_uniform(seed, site, half_amp):
+    """Reference draw: one Philox generator per site, counter block = site."""
+    bitgen = Philox(
+        counter=np.array([site & _MASK64, 0, 0, 0], dtype=np.uint64),
+        key=np.array([seed & _MASK64, _KEY_SALT], dtype=np.uint64),
+    )
+    return float(Generator(bitgen).uniform(-half_amp, half_amp))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 42, -5, 2**63 + 7, 2**64 - 1])
+def test_disorder_matches_per_site_reference(seed):
+    # every W >= 1 draws across the counter wrap at 2^64 (sites -W..-1)
+    for c in (0.0, 0.7, 1.0, 3.3):
+        for w in (1, 64, 2048):
+            want = np.array([_site_uniform(seed, n, 0.5 * c) for n in range(-w, w + 1)])
+            assert np.array_equal(sample_disorder(c, seed, w).potential, want)
+
+
+@pytest.mark.parametrize("seed", [1, -5, 2**64 - 1])
+def test_disorder_prefix_property(seed):
+    small = sample_disorder(1.0, seed, 64).potential
+    large = sample_disorder(1.0, seed, 2048).potential
+    assert np.array_equal(small, large[2048 - 64 : 2048 + 65])
 
 
 # ---------------------------------------------------------------------------
@@ -131,6 +161,12 @@ def test_config_validation():
         HamiltonianConfig(s=-1.0, kernel_radius=4, disorder=dis)
     with pytest.raises(ValueError):
         HamiltonianConfig(s=0.5, kernel_radius=4, disorder=dis, boundary="periodic")
+
+
+def test_config_rejects_nan_order():
+    dis = sample_disorder(0.0, 1, 8)
+    with pytest.raises(ValueError, match="finite"):
+        HamiltonianConfig(s=math.nan, kernel_radius=4, disorder=dis)
 
 
 # ---------------------------------------------------------------------------

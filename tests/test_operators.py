@@ -151,6 +151,17 @@ def test_operator_spec_validation():
         OperatorSpec(0.5, 16, "fourier")
 
 
+def test_operator_spec_rejects_nan_order():
+    with pytest.raises(ValueError, match="order must be positive and finite"):
+        OperatorSpec(math.nan, 16)
+
+
+def test_operator_spec_rejects_nan_budget():
+    with pytest.raises(ValueError, match="error_budget"):
+        OperatorSpec(0.5, 16, error_budget=math.nan)
+    assert OperatorSpec(0.5, 16).error_budget == math.inf
+
+
 def test_apply_dispatcher(rng):
     u = random_sequence(rng, width=4)
     assert apply(u, OperatorSpec(2.0, 16, "binomial")) == apply_integer_power(u, 2)

@@ -244,6 +244,37 @@ def test_bessel_against_mpmath_spot():
             assert bessel_i_scaled(k, x) == pytest.approx(ref, rel=1e-12, abs=1e-14)
 
 
+def _bessel_row_series_reference(x, kmax):
+    """The ascending series summed one order at a time (DLMF 10.25.2)."""
+    q = 0.25 * x * x
+    out = np.zeros(kmax + 1)
+    for k in range(kmax + 1):
+        log_t0 = k * math.log(0.5 * x) - log_gamma(k + 1.0)
+        if log_t0 - x < -745.0:  # scaled leading term underflows
+            continue
+        term = math.exp(log_t0)
+        total = term
+        j = 0
+        while True:
+            j += 1
+            term *= q / (j * (j + k))
+            total += term
+            if term <= 1e-18 * total:
+                break
+        out[k] = math.exp(-x) * total
+    return out
+
+
+@pytest.mark.parametrize("x", [1e-3, 0.1, 1.0, 3.7, 10.0, 29.9, 30.0])
+def test_bessel_series_matches_per_order_reference(x):
+    for kmax in (0, 1, 5, 64, 200, 600):
+        row = bessel_i_scaled_row(x, kmax)
+        want = _bessel_row_series_reference(x, kmax)
+        assert np.array_equal(row == 0.0, want == 0.0)
+        nz = want != 0.0
+        assert np.all(np.abs(row[nz] - want[nz]) <= 2e-15 * want[nz])
+
+
 def test_bessel_deep_order_tail():
     # orders far beyond sqrt(x): values underflow cleanly, no overflow mid-pass
     row = bessel_i_scaled_row(35.0, 500)
