@@ -59,6 +59,17 @@ def _write_output(path: str, text: str) -> None:
             fh.write(text)
 
 
+def _write_sequence_csv(
+    path: str, command: str, params: dict, seq: Sequence, t0: float
+) -> None:
+    """Write the manifest and one ``n,value`` row per site of ``seq``."""
+    lines = ["n,value"]
+    for n, val in zip(seq.indices(), seq.values):
+        lines.append(f"{int(n)},{float(val)!r}")
+    body = "\n".join(lines) + "\n"
+    _write_output(path, _manifest(command, params, time.perf_counter() - t0) + body)
+
+
 def _read_sequence(path: str) -> Sequence:
     if path == "-":
         return parse_sequence(sys.stdin.read())
@@ -138,11 +149,7 @@ def _cmd_apply(args) -> int:
         "input": args.input or "delta:0",
         "trunc_bound": repr(result.trunc_bound),
     }
-    lines = ["n,value"]
-    for n, val in zip(result.indices(), result.values):
-        lines.append(f"{int(n)},{float(val)!r}")
-    body = "\n".join(lines) + "\n"
-    _write_output(args.out, _manifest("apply", params, time.perf_counter() - t0) + body)
+    _write_sequence_csv(args.out, "apply", params, result, t0)
     return _EXIT_OK
 
 
@@ -195,13 +202,6 @@ def _cmd_localize(args) -> int:
     return _EXIT_OK
 
 
-def _write_state_csv(path: str, params: dict, state, elapsed: float) -> None:
-    lines = ["n,value"]
-    for n, val in zip(state.indices(), state.values):
-        lines.append(f"{int(n)},{float(val)!r}")
-    _write_output(path, _manifest("evolve", params, elapsed) + "\n".join(lines) + "\n")
-
-
 def _cmd_evolve(args) -> int:
     t0 = time.perf_counter()
     disorder = sample_disorder(args.c, args.seed, args.window)
@@ -218,14 +218,14 @@ def _cmd_evolve(args) -> int:
         step = float(args.snapshot_every)
         if step < args.dt:
             raise ValueError("snapshot interval must be at least dt")
+        if not math.isfinite(args.t):  # the snapshot loop below would never end
+            raise ValueError(f"t_end must be non-negative and finite, got {args.t!r}")
         state, t = u0, 0.0
         while t + step < args.t * (1.0 - 1e-12):
             state = evolve(state, config, step, args.dt, sign=sign)
             t += step
             snap_params = {"t": repr(t), "seed": args.seed, "sign": args.sign}
-            _write_state_csv(
-                f"{args.out}.t{t:g}.csv", snap_params, state, time.perf_counter() - t0
-            )
+            _write_sequence_csv(f"{args.out}.t{t:g}.csv", "evolve", snap_params, state, t0)
         result = evolve(state, config, args.t - t, min(args.dt, args.t - t), sign=sign)
     else:
         result = evolve(u0, config, args.t, args.dt, sign=sign)
@@ -241,11 +241,7 @@ def _cmd_evolve(args) -> int:
         "trunc_bound": repr(result.trunc_bound),
         "mass": repr(float(sum(result.values))),
     }
-    lines = ["n,value"]
-    for n, val in zip(result.indices(), result.values):
-        lines.append(f"{int(n)},{float(val)!r}")
-    body = "\n".join(lines) + "\n"
-    _write_output(args.out, _manifest("evolve", params, time.perf_counter() - t0) + body)
+    _write_sequence_csv(args.out, "evolve", params, result, t0)
     print(f"norm = {norm(result)!r}")
     return _EXIT_OK
 

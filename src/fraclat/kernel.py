@@ -257,6 +257,9 @@ class KernelTable:
         return float(self.values[mu])
 
 
+# the package's one kernel cache; apply_fractional and evolve read their
+# convolution rows from it too (evolve's radius 2W may be below build_table's
+# minimum radius)
 @lru_cache(maxsize=128)
 def _build_table_cached(s: float, radius: int) -> KernelTable:
     values = kernel_row(s, radius)

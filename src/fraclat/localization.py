@@ -25,9 +25,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.random import Philox
 
-from .kernel import kernel_sum
+from .kernel import _build_table_cached, kernel_sum
 from .lattice import Sequence, delta, norm
-from .operators import OperatorSpec, _convolve, _kernel_row_cached, apply_fractional
+from .operators import OperatorSpec, _convolve, apply_fractional
 
 __all__ = [
     "SupportOverflowError",
@@ -222,8 +222,8 @@ def orbit_basis(
     depth = int(depth)
     if depth < 1:
         raise ValueError("depth must be a positive integer")
-    if residual_tol <= 0.0:
-        raise ValueError("residual_tol must be positive")
+    if not residual_tol > 0.0:
+        raise ValueError(f"residual_tol must be positive, got {residual_tol!r}")
     w = config.window_radius
     basis: list[np.ndarray] = []
     raw_norms: list[float] = []
@@ -293,10 +293,10 @@ def evolve(
     """
     t_end = float(t_end)
     dt = float(dt)
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    if t_end < 0.0:
-        raise ValueError("t_end must be non-negative")
+    if not (math.isfinite(dt) and dt > 0.0):
+        raise ValueError(f"dt must be positive and finite, got {dt!r}")
+    if not (math.isfinite(t_end) and t_end >= 0.0):
+        raise ValueError(f"t_end must be non-negative and finite, got {t_end!r}")
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
     if t_end == 0.0:
@@ -315,7 +315,7 @@ def evolve(
     h = t_end / steps
 
     length = 2 * w + 1
-    row = _kernel_row_cached(config.s, 2 * w)
+    row = _build_table_cached(float(config.s), 2 * w).values
     nz = np.flatnonzero(row)
     r_eff = int(nz[-1]) if nz.size else 0
     kern = (

@@ -27,11 +27,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.signal import fftconvolve
 
 from . import kernel as _kernel
 from .kernel import NEAR_INTEGER_TOL, build_table
@@ -132,18 +130,18 @@ class QuadratureScheme:
 # ---------------------------------------------------------------------------
 
 
+def fftconvolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Full convolution of two real 1-D arrays by a power-of-two real FFT."""
+    n = a.size + b.size - 1
+    size = 1 << (n - 1).bit_length()
+    return np.fft.irfft(np.fft.rfft(a, size) * np.fft.rfft(b, size), size)[:n]
+
+
 def _convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Full convolution; FFT-based when both operands are long."""
     if min(a.size, b.size) <= 64:
         return np.convolve(a, b)
     return fftconvolve(a, b)
-
-
-@lru_cache(maxsize=64)
-def _kernel_row_cached(s: float, half: int) -> np.ndarray:
-    row = _kernel.kernel_row(s, half)
-    row.setflags(write=False)
-    return row
 
 
 def _stencil(m: int) -> np.ndarray:
@@ -202,7 +200,7 @@ def apply_fractional(u: Sequence, spec: OperatorSpec) -> Sequence:
         )
     length = len(u)
     half = radius + length - 1
-    row = _kernel_row_cached(s, half)
+    row = _kernel._build_table_cached(s, half).values
     nz = np.flatnonzero(row)
     a_s = table.total_sum
     if nz.size == 0:
@@ -255,27 +253,21 @@ def heat_semigroup(u: Sequence, z: float, radius: int) -> Sequence:
         raise ValueError("radius must be non-negative")
     if z == 0.0 or len(u) == 0:
         return u
-    length = len(u)
-    kmax = radius + length - 1
-    row = bessel_i_scaled_row(2.0 * z, kmax)
-    kern = np.concatenate([row[kmax:0:-1], row[: kmax + 1]])
-    conv = _convolve(u.values, kern)  # window [offset - kmax, end-1 + kmax]
-    lo = kmax - radius
-    out = conv[lo : lo + length + 2 * radius]
+    out, row = _semigroup_window(u, z, radius)
     sup_u = float(np.max(np.abs(u.values)))
     tail_mass = max(0.0, 1.0 - (row[0] + 2.0 * float(np.sum(row[1 : radius + 1]))))
     return Sequence(u.offset - radius, out, trunc_bound=sup_u * tail_mass)
 
 
-def _semigroup_dense(v: Sequence, z: float, radius: int) -> np.ndarray:
-    """(S_z v) as a dense array on the window [v.offset - radius, v.end-1 + radius]."""
+def _semigroup_window(v: Sequence, z: float, radius: int) -> tuple[np.ndarray, np.ndarray]:
+    """(S_z v) densely on [v.offset - radius, v.end-1 + radius], and its Bessel row."""
     length = len(v)
     kmax = radius + length - 1
     row = bessel_i_scaled_row(2.0 * z, kmax)
     kern = np.concatenate([row[kmax:0:-1], row[: kmax + 1]])
-    conv = np.convolve(v.values, kern)
+    conv = _convolve(v.values, kern)  # window [offset - kmax, end-1 + kmax]
     lo = kmax - radius
-    return conv[lo : lo + length + 2 * radius]
+    return conv[lo : lo + length + 2 * radius], row
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +311,7 @@ def _oracle_pass(
         # (S_z v - v) / z; by Taylor below the cancellation floor
         if z <= 1e-4:
             return t1 + (0.5 * z) * t2 + (z * z / 6.0) * t3
-        return (_semigroup_dense(v, z, radius) - v_dense) / z
+        return (_semigroup_window(v, z, radius)[0] - v_dense) / z
 
     total = np.zeros(length)
 
@@ -345,7 +337,7 @@ def _oracle_pass(
         )
         for y, w in zip(y_nodes, y_weights):
             z = math.exp(y)
-            total += (w * math.exp(-sigma * y)) * _semigroup_dense(v, z, radius)
+            total += (w * math.exp(-sigma * y)) * _semigroup_window(v, z, radius)[0]
 
     return total / gamma(-sigma)
 

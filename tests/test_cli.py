@@ -1,10 +1,14 @@
 """Command-line surface: formats, manifests, exit codes, reproducibility."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import fraclat
 from fraclat import Sequence, delta, format_sequence, heat_semigroup, sup_dist
 from fraclat.cli import main
 
@@ -272,6 +276,17 @@ def test_localize_nan_amplitude_exits_2(tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_localize_nan_residual_tol_exits_2(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    rc = main(
+        ["localize", "--s", "0.5", "--c", "1", "--seeds", "1", "--window", "16"]
+        + ["--kernel-radius", "4", "--depth", "2", "--residual-tol", "nan", "--out", str(out)]
+    )
+    assert rc == 2
+    assert not out.exists()
+    assert "residual_tol" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # evolve
 # ---------------------------------------------------------------------------
@@ -330,6 +345,23 @@ def test_evolve_infinite_amplitude_exits_2(tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize(
+    "times",
+    [
+        ("--t", "inf", "--dt", "0.01"),
+        ("--t", "nan", "--dt", "0.01"),
+        ("--t", "1", "--dt", "nan"),
+        ("--t", "inf", "--dt", "0.01", "--snapshot-every", "0.5"),
+    ],
+)
+def test_evolve_non_finite_time_exits_2(tmp_path, capsys, times):
+    out = tmp_path / "x.csv"
+    rc = main(["evolve", "--s", "0.5", "--window", "32", *times, "--out", str(out)])
+    assert rc == 2
+    assert "finite" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_evolve_snapshots(tmp_path):
     out = tmp_path / "e.csv"
     rc = main(
@@ -381,3 +413,19 @@ def test_evolve_snapshots(tmp_path):
     a = _as_sequence(_data_rows(out))
     b = _as_sequence(_data_rows(direct))
     assert sup_dist(a, b) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# dependencies
+# ---------------------------------------------------------------------------
+
+
+def test_cli_import_loads_no_scipy():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fraclat.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, fraclat.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

@@ -26,6 +26,7 @@ from fraclat import (
     norm,
     sup_dist,
 )
+from fraclat.operators import fftconvolve
 from conftest import random_sequence
 
 
@@ -169,6 +170,16 @@ def test_apply_dispatcher(rng):
         u, OperatorSpec(0.5, 16)
     )
     assert apply(u, OperatorSpec(2.5, 16, "composed")) == apply_composed(u, 2.5, 16)
+
+
+@pytest.mark.parametrize("na, nb", [(63, 65), (65, 100), (64, 4097), (1000, 8321)])
+def test_fftconvolve_matches_direct(rng, na, nb):
+    a = rng.uniform(-1.0, 1.0, size=na)
+    b = rng.uniform(-1.0, 1.0, size=nb)
+    want = np.convolve(a, b)
+    got = fftconvolve(a, b)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 # ---------------------------------------------------------------------------
