@@ -210,12 +210,14 @@ def _cmd_evolve(args) -> int:
     )
     u0 = delta(0) if args.input is None else _read_sequence(args.input)
     sign = +1 if args.sign == "plus" else -1
-    if args.t == 0.0:
-        result = u0
-    elif args.snapshot_every:
+    step = args.snapshot_every
+    if step is not None and not math.isfinite(step):
+        raise ValueError(f"snapshot interval must be finite, got {step!r}")
+    if not step or args.t == 0.0:  # evolve validates dt even at t = 0
+        result = evolve(u0, config, args.t, args.dt, sign=sign)
+    else:
         if args.out == "-":
             raise ValueError("snapshots require --out to be a file path")
-        step = float(args.snapshot_every)
         if step < args.dt:
             raise ValueError("snapshot interval must be at least dt")
         if not math.isfinite(args.t):  # the snapshot loop below would never end
@@ -227,8 +229,6 @@ def _cmd_evolve(args) -> int:
             snap_params = {"t": repr(t), "seed": args.seed, "sign": args.sign}
             _write_sequence_csv(f"{args.out}.t{t:g}.csv", "evolve", snap_params, state, t0)
         result = evolve(state, config, args.t - t, min(args.dt, args.t - t), sign=sign)
-    else:
-        result = evolve(u0, config, args.t, args.dt, sign=sign)
     params = {
         "s": repr(float(args.s)),
         "c": repr(float(args.c)),
@@ -309,7 +309,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dt", type=float, required=True, help="RK4 step")
     p.add_argument("--sign", choices=("plus", "minus"), default="plus")
     p.add_argument("--window", type=int, default=128)
-    p.add_argument("--kernel-radius", dest="kernel_radius", type=int, default=32)
+    p.add_argument(
+        "--kernel-radius",
+        dest="kernel_radius",
+        type=int,
+        default=32,
+        help="checked against --window but does not affect evolve, which uses "
+        "every lag in the window",
+    )
     p.add_argument("--input", default=None)
     p.add_argument(
         "--snapshot-every",

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 import os
+from collections.abc import Iterable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -144,20 +145,6 @@ class HamiltonianConfig:
         return self.disorder.window_radius
 
 
-def _clip(seq: Sequence, lo: int, hi: int) -> tuple[Sequence, float]:
-    """Restrict to [lo, hi]; returns the clipped sequence and max dropped magnitude."""
-    if len(seq) == 0 or (seq.offset >= lo and seq.end - 1 <= hi):
-        return seq, 0.0
-    dropped = 0.0
-    if seq.offset < lo:
-        dropped = float(np.max(np.abs(seq.values[: lo - seq.offset])))
-    if seq.end - 1 > hi:
-        tail = float(np.max(np.abs(seq.values[hi + 1 - seq.offset :])))
-        dropped = max(dropped, tail)
-    clipped = Sequence(lo, seq.window(lo, hi), trunc_bound=seq.trunc_bound)
-    return clipped, dropped
-
-
 def apply_hamiltonian(u: Sequence, config: HamiltonianConfig) -> Sequence:
     """(H u)(n) = ((-Lap)^s u)(n) + eps_n u(n), clipped to the window.
 
@@ -165,20 +152,22 @@ def apply_hamiltonian(u: Sequence, config: HamiltonianConfig) -> Sequence:
     the kernel-series path and whatever it places outside the window is
     dropped, with the dropped magnitude added to the result's trunc_bound.
     """
-    w = config.window_radius
+    w, r = config.window_radius, config.kernel_radius
     if len(u) and (u.offset < -w or u.end - 1 > w):
         raise SupportOverflowError(
             f"support [{u.offset}, {u.end - 1}] exceeds window [-{w}, {w}]"
         )
     if len(u) == 0:
         return u
-    frac = apply_fractional(u, OperatorSpec(config.s, config.kernel_radius, "series"))
-    clipped, clip_mass = _clip(frac, -w, w)
-    out = clipped.window(-w, w)
+    frac = apply_fractional(u, OperatorSpec(config.s, r, "series"))
+    # the series output lies in [-W-R, W+R]; the R sites at either end are dropped
+    full = frac.window(-w - r, w + r)
+    clip_mass = float(max(np.max(np.abs(full[:r])), np.max(np.abs(full[-r:]))))
+    out = full[r:-r]
     pot = config.disorder.potential
     i0 = u.offset + w
     out[i0 : i0 + len(u)] += pot[i0 : i0 + len(u)] * u.values
-    return Sequence(-w, out, trunc_bound=clipped.trunc_bound + clip_mass)
+    return Sequence(-w, out, trunc_bound=frac.trunc_bound + clip_mass)
 
 
 @dataclass(frozen=True)
@@ -212,41 +201,51 @@ def orbit_basis(
     """Build the Krylov basis of H from delta_0 up to the requested depth.
 
     Each new direction is H applied to the most recent orthonormal vector,
-    orthogonalized by modified Gram-Schmidt with one full reorthogonalization
-    pass.  (Orthonormalizing the raw power iterates H^k delta_0 spans the
-    same space in exact arithmetic but loses the span geometrically in
-    floating point as the iterates align with the dominant spectral weight;
-    this construction keeps both the Gram matrix and symmetry properties of
-    the span at the 1e-14 level to arbitrary depth.)
+    orthogonalized against the basis so far by classical Gram-Schmidt run
+    twice (CGS2): two blocked projections b -= Q^T (Q b).  A single pass
+    loses orthogonality in floating point; the second restores it to
+    working precision ("twice is enough", Giraud, Langou & Rozloznik 2005).
+    (Orthonormalizing the raw power iterates H^k delta_0 spans the same
+    space in exact arithmetic but loses the span geometrically in floating
+    point as the iterates align with the dominant spectral weight; this
+    construction keeps both the Gram matrix and symmetry properties of the
+    span at the 1e-14 level to arbitrary depth.)  ``residual_tol`` must lie
+    in (0, 1), so the basis always holds delta_0.
     """
     depth = int(depth)
     if depth < 1:
         raise ValueError("depth must be a positive integer")
-    if not residual_tol > 0.0:
-        raise ValueError(f"residual_tol must be positive, got {residual_tol!r}")
+    if not 0.0 < residual_tol < 1.0:
+        raise ValueError(f"residual_tol must lie in (0, 1), got {residual_tol!r}")
     w = config.window_radius
-    basis: list[np.ndarray] = []
+    q = np.zeros((min(depth, 2 * w + 1), 2 * w + 1))  # at most dim-many directions
     raw_norms: list[float] = []
-    for k in range(depth):
-        if k == 0:
-            dense = delta(0).window(-w, w)
-        else:
-            iterate = apply_hamiltonian(Sequence(-w, basis[-1]), config)
-            dense = iterate.window(-w, w)
+    dense = delta(0).window(-w, w)
+    for k in range(len(q)):
+        if k:
+            dense = apply_hamiltonian(Sequence(-w, q[k - 1]), config).window(-w, w)
         raw = float(np.linalg.norm(dense))
         if raw == 0.0:
             break
-        b = dense.copy()
-        for _ in range(2):  # MGS sweep plus one full reorthogonalization
-            for q in basis:
-                b -= np.dot(q, b) * q
+        b = dense - q[:k].T @ (q[:k] @ dense)
+        b -= q[:k].T @ (q[:k] @ b)
         r = float(np.linalg.norm(b))
         if r < residual_tol * raw:
             break
         raw_norms.append(raw)
-        basis.append(b / r)
-    vectors = [Sequence(-w, b) for b in basis]
+        q[k] = b / r
+    vectors = [Sequence(-w, b) for b in q[: len(raw_norms)]]
     return OrbitBasis(vectors=vectors, raw_norms=raw_norms, residual_tol=residual_tol)
+
+
+def _span_residuals(q: Iterable[np.ndarray], v: np.ndarray) -> list[float]:
+    """||v - sum_{j<d} <v, q_j> q_j|| for d = 1, 2, ... over the dense rows q_j."""
+    resid = v.copy()
+    out = []
+    for qj in q:
+        resid -= np.dot(qj, v) * qj
+        out.append(float(np.linalg.norm(resid)))
+    return out
 
 
 def krylov_residual(v: Sequence, basis: OrbitBasis) -> float:
@@ -258,12 +257,8 @@ def krylov_residual(v: Sequence, basis: OrbitBasis) -> float:
         return 1.0
     lo = min(v.offset, min(b.offset for b in basis.vectors))
     hi = max(v.end, max(b.end for b in basis.vectors)) - 1
-    vd = v.window(lo, hi)
-    resid = vd.copy()
-    for b in basis.vectors:
-        bd = b.window(lo, hi)
-        resid -= np.dot(bd, vd) * bd
-    return float(np.linalg.norm(resid))
+    dense = (b.window(lo, hi) for b in basis.vectors)
+    return _span_residuals(dense, v.window(lo, hi))[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +284,8 @@ def evolve(
     The right-hand side is the window restriction of H with every lag
     reachable inside [-W, W], i.e. the same sums ``apply_hamiltonian``
     evaluates on window-spanning states; equivalently, the matrix
-    (A_s + eps_n) I - Toeplitz(K_s) on the window.
+    (A_s + eps_n) I - Toeplitz(K_s) on the window.  Because every lag in
+    the window is used, ``config.kernel_radius`` does not affect the result.
     """
     t_end = float(t_end)
     dt = float(dt)
@@ -312,7 +308,7 @@ def evolve(
     if len(u0) and (u0.offset < -w or u0.end - 1 > w):
         raise SupportOverflowError("initial state exceeds the window")
     steps = max(1, round(t_end / dt))
-    h = t_end / steps
+    h = sign * (t_end / steps)  # negation is exact: same values as sign * H u
 
     length = 2 * w + 1
     row = _build_table_cached(float(config.s), 2 * w).values
@@ -336,7 +332,7 @@ def evolve(
                 float(np.max(np.abs(conv[r_eff + length :]))),
             )
             clip_activity = max(clip_activity, edge)
-        return sign * out
+        return out
 
     y = u0.window(-w, w)
     for _ in range(steps):
@@ -384,35 +380,6 @@ class EnsembleReport:
         return "\n".join(lines) + "\n"
 
 
-def _seed_rows(
-    s: float,
-    c: float,
-    window_radius: int,
-    kernel_radius: int,
-    seed: int,
-    depth: int,
-    probes: list[tuple[str, Sequence]],
-    residual_tol: float,
-) -> list[tuple[int, str, int, float]]:
-    disorder = sample_disorder(c, seed, window_radius)
-    config = HamiltonianConfig(s=s, kernel_radius=kernel_radius, disorder=disorder)
-    basis = orbit_basis(config, depth, residual_tol)
-    w = window_radius
-    dense_basis = [b.window(-w, w) for b in basis.vectors]
-    rows = []
-    for pid, probe in probes:
-        pd = probe.window(-w, w)
-        resid = pd.copy()
-        res_norm = float(np.linalg.norm(resid))
-        for d in range(1, depth + 1):
-            if d - 1 < len(dense_basis):
-                q = dense_basis[d - 1]
-                resid -= np.dot(q, pd) * q
-                res_norm = float(np.linalg.norm(resid))
-            rows.append((seed, pid, d, res_norm))
-    return rows
-
-
 def monte_carlo(
     s: float,
     c: float,
@@ -446,10 +413,18 @@ def monte_carlo(
         max_workers = int(os.environ.get("FRACLAT_THREADS", "1"))
     max_workers = max(1, int(max_workers))
 
-    def job(seed: int):
-        return _seed_rows(
-            s, c, window_radius, kernel_radius, seed, depth, probes, residual_tol
-        )
+    def job(seed: int) -> list[tuple[int, str, int, float]]:
+        disorder = sample_disorder(c, seed, window_radius)
+        config = HamiltonianConfig(s=s, kernel_radius=kernel_radius, disorder=disorder)
+        basis = orbit_basis(config, depth, residual_tol)
+        w = window_radius
+        dense = [b.window(-w, w) for b in basis.vectors]
+        rows = []
+        for pid, probe in probes:
+            res = _span_residuals(dense, probe.window(-w, w))
+            res += res[-1:] * (depth - len(res))  # a basis that ended early
+            rows.extend((seed, pid, d, r) for d, r in enumerate(res, 1))
+        return rows
 
     if max_workers == 1 or len(seeds) <= 1:
         per_seed = [job(seed) for seed in seeds]

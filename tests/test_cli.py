@@ -287,6 +287,30 @@ def test_localize_nan_residual_tol_exits_2(tmp_path, capsys):
     assert "residual_tol" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("tol", ["inf", "1", "-1"])
+def test_localize_residual_tol_outside_unit_interval_exits_2(tmp_path, capsys, tol):
+    # a tolerance >= 1 stops the orbit before delta_0 and every residual reads 1
+    out = tmp_path / "x.csv"
+    rc = main(
+        ["localize", "--s", "0.5", "--c", "1", "--seeds", "1", "--window", "16"]
+        + ["--kernel-radius", "4", "--depth", "2", "--residual-tol", tol, "--out", str(out)]
+    )
+    assert rc == 2
+    assert not out.exists()
+    assert "residual_tol" in capsys.readouterr().err
+
+
+def test_localize_kernel_radius_below_table_minimum_exits_2(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    rc = main(
+        ["localize", "--s", "0.5", "--c", "1", "--seeds", "1", "--window", "16"]
+        + ["--kernel-radius", "1", "--out", str(out)]
+    )
+    assert rc == 2
+    assert not out.exists()
+    assert "radius 1 too small" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # evolve
 # ---------------------------------------------------------------------------
@@ -360,6 +384,45 @@ def test_evolve_non_finite_time_exits_2(tmp_path, capsys, times):
     assert rc == 2
     assert "finite" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("every", ["nan", "inf"])
+def test_evolve_non_finite_snapshot_interval_exits_2(tmp_path, capsys, every):
+    out = tmp_path / "x.csv"
+    rc = main(
+        ["evolve", "--s", "0.5", "--window", "32", "--t", "1", "--dt", "0.01"]
+        + ["--snapshot-every", every, "--out", str(out)]
+    )
+    assert rc == 2
+    assert "finite" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_evolve_zero_time_validates_dt(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    rc = main(["evolve", "--s", "1", "--t", "0", "--dt", "nan", "--out", str(out)])
+    assert rc == 2
+    assert "finite" in capsys.readouterr().err
+    assert not out.exists()
+    rc = main(
+        ["evolve", "--s", "1", "--t", "0", "--dt", "0.1", "--snapshot-every", "0.5"]
+        + ["--out", str(out)]
+    )
+    assert rc == 0
+    assert _data_rows(out) == ["n,value", "0,1.0"]
+
+
+def test_evolve_ignores_kernel_radius(tmp_path):
+    rows = []
+    for radius in ("4", "32"):
+        out = tmp_path / f"r{radius}.csv"
+        rc = main(
+            ["evolve", "--s", "0.5", "--c", "1", "--t", "0.5", "--dt", "0.01"]
+            + ["--window", "32", "--kernel-radius", radius, "--out", str(out)]
+        )
+        assert rc == 0
+        rows.append(_data_rows(out))
+    assert rows[0] == rows[1]
 
 
 def test_evolve_snapshots(tmp_path):
