@@ -213,7 +213,7 @@ def _cmd_evolve(args) -> int:
     step = args.snapshot_every
     if step is not None and not math.isfinite(step):
         raise ValueError(f"snapshot interval must be finite, got {step!r}")
-    if not step or args.t == 0.0:  # evolve validates dt even at t = 0
+    if step is None or args.t == 0.0:  # evolve validates dt even at t = 0
         result = evolve(u0, config, args.t, args.dt, sign=sign)
     else:
         if args.out == "-":

@@ -130,18 +130,37 @@ class QuadratureScheme:
 # ---------------------------------------------------------------------------
 
 
-def fftconvolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Full convolution of two real 1-D arrays by a power-of-two real FFT."""
-    n = a.size + b.size - 1
-    size = 1 << (n - 1).bit_length()
-    return np.fft.irfft(np.fft.rfft(a, size) * np.fft.rfft(b, size), size)[:n]
+def fftconvolve(
+    a: np.ndarray, b: np.ndarray, b_spectrum: np.ndarray | None = None
+) -> np.ndarray:
+    """Full convolution of the real 1-D ``b`` with ``a`` (or with every row of
+    a 2-D ``a``) by a power-of-two real FFT along the last axis.
+
+    ``b_spectrum``, if given, is ``np.fft.rfft(b, _fft_size(a.shape[-1], b.size))``,
+    precomputed by a caller that convolves many inputs of one length with ``b``.
+    """
+    n = a.shape[-1] + b.size - 1
+    size = _fft_size(a.shape[-1], b.size)
+    if b_spectrum is None:
+        b_spectrum = np.fft.rfft(b, size)
+    return np.fft.irfft(np.fft.rfft(a, size) * b_spectrum, size)[..., :n]
 
 
-def _convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Full convolution; FFT-based when both operands are long."""
-    if min(a.size, b.size) <= 64:
+def _fft_size(na: int, nb: int) -> int:
+    """Power-of-two length ``fftconvolve`` pads inputs of lengths na and nb to."""
+    return 1 << (na + nb - 2).bit_length()
+
+
+def _convolve(
+    a: np.ndarray, b: np.ndarray, b_spectrum: np.ndarray | None = None
+) -> np.ndarray:
+    """Full convolution of ``b`` with ``a`` or every row of ``a``; FFT-based
+    (``fftconvolve``, which takes ``b_spectrum``) when both operands are long."""
+    if min(a.shape[-1], b.size) > 64:
+        return fftconvolve(a, b, b_spectrum)
+    if a.ndim == 1:
         return np.convolve(a, b)
-    return fftconvolve(a, b)
+    return np.array([np.convolve(row, b) for row in a])
 
 
 def _stencil(m: int) -> np.ndarray:

@@ -398,6 +398,18 @@ def test_evolve_non_finite_snapshot_interval_exits_2(tmp_path, capsys, every):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("every", ["0", "-1"])
+def test_evolve_snapshot_interval_below_dt_exits_2(tmp_path, capsys, every):
+    out = tmp_path / "x.csv"
+    rc = main(
+        ["evolve", "--s", "1", "--t", "1", "--dt", "0.01"]
+        + ["--snapshot-every", every, "--out", str(out)]
+    )
+    assert rc == 2
+    assert "snapshot interval must be at least dt" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_evolve_zero_time_validates_dt(tmp_path, capsys):
     out = tmp_path / "x.csv"
     rc = main(["evolve", "--s", "1", "--t", "0", "--dt", "nan", "--out", str(out)])

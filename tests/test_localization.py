@@ -28,6 +28,7 @@ from fraclat import (
     sup_dist,
 )
 from fraclat.localization import _KEY_SALT, _MASK64
+from fraclat.operators import _convolve
 from conftest import random_sequence
 
 ODD_PROBE = Sequence(-1, np.array([-1.0, 0.0, 1.0]) / math.sqrt(2.0))
@@ -352,12 +353,14 @@ def test_evolve_plus_sign_grows():
     assert norm(out) > 1.0  # +H direction amplifies
 
 
-def test_evolve_matches_matrix_exponential_with_disorder():
+# 100 steps on 49 sites take the step matrix, 40 steps the per-stage convolutions
+@pytest.mark.parametrize("w, t", [(24, 0.5), (24, 0.2)])
+def test_evolve_matches_matrix_exponential_with_disorder(w, t):
     # independent oracle: H restricted to the window is the matrix
     # (A_s + eps_n) I - Toeplitz(K_s); expm of that drives a dense solve
     from scipy.linalg import expm, toeplitz
 
-    w, s, c, t = 24, 0.5, 1.0, 0.5
+    s, c = 0.5, 1.0
     dis = sample_disorder(c, 5, w)
     cfg = HamiltonianConfig(s=s, kernel_radius=w, disorder=dis)
     mat = -toeplitz(kernel_row(s, 2 * w)) + np.diag(kernel_sum(s) + dis.potential)
@@ -366,6 +369,63 @@ def test_evolve_matches_matrix_exponential_with_disorder():
         ref = expm(sign * t * mat) @ d0
         got = evolve(delta(0), cfg, t, 0.005, sign=sign)
         assert np.max(np.abs(got.window(-w, w) - ref)) < 1e-9
+
+
+def _rk4_reference(u0, config, t_end, dt, sign):
+    """evolve as one RK4 loop of per-stage convolutions on the window
+    (test-only reference for both of evolve's routes)."""
+    w = config.window_radius
+    a_s = kernel_sum(config.s)
+    steps = max(1, round(t_end / dt))
+    h = sign * (t_end / steps)
+    length = 2 * w + 1
+    row = kernel_row(config.s, 2 * w)
+    r_eff = int(np.flatnonzero(row)[-1])
+    kern = np.concatenate([row[r_eff:0:-1], row[: r_eff + 1]])
+    diag = a_s + config.disorder.potential
+    clip_activity = 0.0
+
+    def rhs(y):
+        nonlocal clip_activity
+        out = diag * y
+        conv = _convolve(y, kern)
+        out -= conv[r_eff : r_eff + length]
+        edge = max(
+            float(np.max(np.abs(conv[:r_eff]))),
+            float(np.max(np.abs(conv[r_eff + length :]))),
+        )
+        clip_activity = max(clip_activity, edge)
+        return out
+
+    y = u0.window(-w, w)
+    for _ in range(steps):
+        k1 = rhs(y)
+        k2 = rhs(y + 0.5 * h * k1)
+        k3 = rhs(y + 0.5 * h * k2)
+        k4 = rhs(y + h * k3)
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return y, clip_activity * t_end
+
+
+# dt = 0.01: (24, 1) and (128, 3) take the step matrix, (192, 3.85) at its
+# size and step limits; (128, 1) has too few steps and (300, 6.1) too many
+# sites.  Started at the edge, the clipped value peaks in the first step.
+@pytest.mark.parametrize(
+    "w, t, start",
+    [(24, 1.0, 0), (24, 1.0, 24), (128, 3.0, 0), (192, 3.85, 0), (128, 1.0, 0), (300, 6.1, 0)],
+)
+@pytest.mark.parametrize("sign", [-1, +1])
+@pytest.mark.parametrize("s", [0.5, 1.0, 2.5])
+def test_evolve_matches_rk4_reference(s, sign, w, t, start):
+    cfg = HamiltonianConfig(s=s, kernel_radius=1, disorder=sample_disorder(1.0, 3, w))
+    got = evolve(delta(start), cfg, t, 0.01, sign=sign)
+    want, want_bound = _rk4_reference(delta(start), cfg, t, 0.01, sign)
+    peak = np.max(np.abs(want))
+    assert np.max(np.abs(got.window(-w, w) - want)) <= 1e-12 * peak
+    # where the clipped stage values sink below the convolution's round-off,
+    # about eps * A_s * |u|, both sides report that round-off instead
+    floor = 1e-14 * t * kernel_sum(s) * max(1.0, peak)
+    assert abs(got.trunc_bound - want_bound) <= 1e-12 * want_bound + floor
 
 
 def test_evolve_matches_column_matrix_at_integer_order():
@@ -465,6 +525,11 @@ def test_monte_carlo_single_seed_matches_direct_orbit():
     for seed, pid, depth, residual in rep.rows:
         want = krylov_residual(delta(1), basis.prefix(depth))
         assert residual == pytest.approx(want, abs=1e-12)
+
+
+def test_monte_carlo_rejects_empty_seed_list():
+    with pytest.raises(ValueError, match="empty"):
+        monte_carlo(0.5, 1.0, 16, 4, [], 2, [("d", delta(0))])
 
 
 def test_monte_carlo_rejects_bad_probe():

@@ -26,7 +26,7 @@ from fraclat import (
     norm,
     sup_dist,
 )
-from fraclat.operators import fftconvolve
+from fraclat.operators import _fft_size, fftconvolve
 from conftest import random_sequence
 
 
@@ -180,6 +180,12 @@ def test_fftconvolve_matches_direct(rng, na, nb):
     got = fftconvolve(a, b)
     assert got.shape == want.shape
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    # a batch of rows with the transform of b precomputed gives the same rows
+    rows = np.stack([a, a[::-1]])
+    spectrum = np.fft.rfft(b, _fft_size(na, nb))
+    batched = fftconvolve(rows, b, spectrum)
+    assert np.array_equal(batched[0], got)
+    assert np.array_equal(batched[1], fftconvolve(a[::-1], b))
 
 
 # ---------------------------------------------------------------------------
