@@ -297,7 +297,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth", type=int, default=16)
     p.add_argument("--probes", default="odd", help="comma list: odd, even, delta:<n>")
     p.add_argument("--residual-tol", dest="residual_tol", type=float, default=1e-12)
-    p.add_argument("--threads", type=int, default=None, help="worker cap (default $FRACLAT_THREADS or 1)")
+    p.add_argument(
+        "--threads",
+        type=int,
+        default=None,
+        help="must be at least 1 (default $FRACLAT_THREADS or 1); no effect, seeds run serially",
+    )
     p.add_argument("--out", default="-")
     p.set_defaults(func=_cmd_localize)
 

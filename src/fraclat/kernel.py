@@ -257,11 +257,22 @@ class KernelTable:
         return float(self.values[mu])
 
 
-# the package's one kernel cache; apply_fractional and evolve read their
-# convolution rows from it too (evolve's radius 2W may be below build_table's
-# minimum radius)
+# the package's kernel caches: tables here, and in _convolution_kernel the
+# mirrored rows and spectra that the convolutions use (at any radius: evolve's
+# 2W may be below build_table's minimum)
 @lru_cache(maxsize=128)
-def _build_table_cached(s: float, radius: int) -> KernelTable:
+def build_table(s: float, radius: int) -> KernelTable:
+    """Build (or fetch from cache) the kernel table for order s.
+
+    The radius must be at least max(2, ceil(s) + 1) so the table reaches past
+    the sign-alternating head of the kernel.
+    """
+    s = _check_order(s)
+    radius = int(radius)
+    if radius < max(2, math.ceil(s) + 1):
+        raise ValueError(
+            f"radius {radius} too small for order {s}; need >= {max(2, math.ceil(s) + 1)}"
+        )
     values = kernel_row(s, radius)
     total = kernel_sum(s)
     if _is_near_integer(s):
@@ -281,19 +292,24 @@ def _build_table_cached(s: float, radius: int) -> KernelTable:
     return KernelTable(s=s, radius=radius, values=values, total_sum=total, tail_bound=tail)
 
 
-def build_table(s: float, radius: int) -> KernelTable:
-    """Build (or fetch from cache) the kernel table for order s.
+@lru_cache(maxsize=128)
+def _convolution_kernel(s: float, half: int, n: int) -> tuple[int, np.ndarray, np.ndarray]:
+    """(r, K_s on lags -r..r, its ``fftconvolve`` spectrum for n-point inputs).
 
-    The radius must be at least max(2, ceil(s) + 1) so the table reaches past
-    the sign-alternating head of the kernel.
+    r is the last lag <= ``half`` where K_s is nonzero.  Callers that convolve
+    many inputs of one length share the result read-only, so the kernel row,
+    its nonzero scan and its transform are computed once per (s, half, n).
+    The row is not kept on its own: it is the second half of the kernel.
     """
-    s = _check_order(s)
-    radius = int(radius)
-    if radius < max(2, math.ceil(s) + 1):
-        raise ValueError(
-            f"radius {radius} too small for order {s}; need >= {max(2, math.ceil(s) + 1)}"
-        )
-    return _build_table_cached(s, radius)
+    from .operators import _fft_size  # operators imports this module
+
+    row = kernel_row(s, half)
+    r = int(np.flatnonzero(row)[-1])  # K_s(1) > 0 for every valid order, so r >= 1
+    kern = np.concatenate([row[r:0:-1], row[: r + 1]])
+    spectrum = np.fft.rfft(kern, _fft_size(n, kern.size))
+    kern.setflags(write=False)
+    spectrum.setflags(write=False)
+    return r, kern, spectrum
 
 
 def decay_certificate(s: float, k_max: int) -> float:

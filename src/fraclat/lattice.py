@@ -49,16 +49,16 @@ class Sequence:
         vals = np.asarray(self.values, dtype=float)
         if vals.ndim != 1:
             raise ValueError("Sequence values must be one-dimensional")
-        nz = np.flatnonzero(vals)
-        if nz.size == 0:
-            vals = vals[:0]
-            offset = 0
+        if vals.size and vals[0] != 0.0 and vals[-1] != 0.0:
+            # nothing to trim, so skip the scan (nan is nonzero and -0.0 zero,
+            # as for np.flatnonzero)
+            lo, hi = 0, vals.size
         else:
-            lo, hi = int(nz[0]), int(nz[-1]) + 1
-            offset = int(self.offset) + lo
-            vals = vals[lo:hi].copy()
+            nz = np.flatnonzero(vals)
+            lo, hi = (int(nz[0]), int(nz[-1]) + 1) if nz.size else (0, 0)
+        vals = vals[lo:hi].copy()
         vals.setflags(write=False)
-        object.__setattr__(self, "offset", offset)
+        object.__setattr__(self, "offset", int(self.offset) + lo if hi else 0)
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "trunc_bound", float(self.trunc_bound))
 

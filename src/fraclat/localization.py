@@ -20,15 +20,14 @@ from __future__ import annotations
 import math
 import os
 from collections.abc import Iterable
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.random import Philox
 
-from .kernel import _build_table_cached, kernel_sum
+from .kernel import _convolution_kernel, kernel_sum
 from .lattice import Sequence, delta, norm
-from .operators import OperatorSpec, _convolve, _fft_size, apply_fractional
+from .operators import OperatorSpec, _convolve, apply_fractional
 
 __all__ = [
     "SupportOverflowError",
@@ -332,10 +331,7 @@ def evolve(
     h = sign * (t_end / steps)  # negation is exact: same values as sign * H u
 
     length = 2 * w + 1
-    row = _build_table_cached(float(config.s), 2 * w).values
-    r_eff = int(np.flatnonzero(row)[-1])  # K_s(1) > 0, so r_eff >= 1
-    kern = np.concatenate([row[r_eff:0:-1], row[: r_eff + 1]])
-    spectrum = np.fft.rfft(kern, _fft_size(length, kern.size))
+    _, kern, spectrum = _convolution_kernel(float(config.s), 2 * w, length)
     diag = a_s + config.disorder.potential
     clipped = 0.0
     y = u0.window(-w, w)
@@ -438,10 +434,12 @@ def monte_carlo(
     """Run the seeded disorder ensemble and collect span residuals.
 
     For every seed the full pipeline (disorder, orbit, per-depth residual of
-    every probe) is deterministic, and seeds are processed independently, so
-    the report is bit-reproducible for a fixed argument set regardless of
+    every probe) is deterministic, so the report is bit-reproducible for a
+    fixed argument set.  Seeds run one after another in this thread.
     ``max_workers`` (default: the FRACLAT_THREADS environment variable,
-    falling back to 1).
+    falling back to 1) must be a positive integer but has no effect: a
+    thread pool gave no speedup, because the per-seed work holds the
+    interpreter lock, and the results never depended on the worker count.
     """
     seeds = [int(x) for x in seeds]
     if not seeds:
@@ -456,8 +454,11 @@ def monte_carlo(
         if len(probe) and (probe.offset < -window_radius or probe.end - 1 > window_radius):
             raise SupportOverflowError(f"probe {pid!r} exceeds the window")
     if max_workers is None:
-        max_workers = int(os.environ.get("FRACLAT_THREADS", "1"))
-    max_workers = max(1, int(max_workers))
+        env = os.environ.get("FRACLAT_THREADS", "1")
+        if not env.strip().isdecimal() or int(env) < 1:
+            raise ValueError(f"FRACLAT_THREADS must be a positive integer, got {env!r}")
+    elif int(max_workers) < 1:
+        raise ValueError(f"worker count must be a positive integer, got {max_workers!r}")
 
     def job(seed: int) -> list[tuple[int, str, int, float]]:
         disorder = sample_disorder(c, seed, window_radius)
@@ -472,13 +473,8 @@ def monte_carlo(
             rows.extend((seed, pid, d, r) for d, r in enumerate(res, 1))
         return rows
 
-    if max_workers == 1 or len(seeds) <= 1:
-        per_seed = [job(seed) for seed in seeds]
-    else:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            per_seed = list(pool.map(job, seeds))
-
-    rows = [row for chunk in per_seed for row in chunk]
+    # one seed at a time; a seed's basis is freed before the next one is built
+    rows = [row for seed in seeds for row in job(seed)]
     summary: dict[tuple[str, int], tuple[float, float, float]] = {}
     for pid, _ in probes:
         for d in range(1, depth + 1):

@@ -134,10 +134,13 @@ def fftconvolve(
     a: np.ndarray, b: np.ndarray, b_spectrum: np.ndarray | None = None
 ) -> np.ndarray:
     """Full convolution of the real 1-D ``b`` with ``a`` (or with every row of
-    a 2-D ``a``) by a power-of-two real FFT along the last axis.
+    a 2-D ``a``) by a real FFT along the last axis.
 
-    ``b_spectrum``, if given, is ``np.fft.rfft(b, _fft_size(a.shape[-1], b.size))``,
-    precomputed by a caller that convolves many inputs of one length with ``b``.
+    Both operands are zero-padded to ``_fft_size``, the smallest 5-smooth
+    length (2^a 3^b 5^c) that holds the whole linear convolution, so nothing
+    wraps around.  ``b_spectrum``, if given, is
+    ``np.fft.rfft(b, _fft_size(a.shape[-1], b.size))``, precomputed by a caller
+    that convolves many inputs of one length with ``b``.
     """
     n = a.shape[-1] + b.size - 1
     size = _fft_size(a.shape[-1], b.size)
@@ -147,8 +150,25 @@ def fftconvolve(
 
 
 def _fft_size(na: int, nb: int) -> int:
-    """Power-of-two length ``fftconvolve`` pads inputs of lengths na and nb to."""
-    return 1 << (na + nb - 2).bit_length()
+    """Smallest 5-smooth integer >= na + nb - 1, the length ``fftconvolve``
+    pads inputs of lengths na and nb to.
+
+    numpy's FFT is fast on lengths with prime factors 2, 3 and 5 only; a
+    7-smooth length such as 12,544 is about as slow as the next power of two.
+    """
+    n = na + nb - 1
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # p35 times the smallest power of two >= n / p35
+            m = p35 << ((n - 1) // p35).bit_length()
+            if m < best:
+                best = m
+            p35 *= 3
+        p5 *= 5
+    return best
 
 
 def _convolve(
@@ -218,19 +238,12 @@ def apply_fractional(u: Sequence, spec: OperatorSpec) -> Sequence:
             f"certified truncation {bound:.3e} exceeds budget {spec.error_budget:.3e}"
         )
     length = len(u)
-    half = radius + length - 1
-    row = _kernel._build_table_cached(s, half).values
-    nz = np.flatnonzero(row)
-    a_s = table.total_sum
-    if nz.size == 0:
-        return Sequence(u.offset, a_s * u.values, trunc_bound=bound)
-    kern_half = int(nz[-1])
-    kern = np.concatenate([row[kern_half:0:-1], row[: kern_half + 1]])
-    conv = _convolve(u.values, kern)  # window [offset - kern_half, end-1 + kern_half]
+    kern_half, kern, spectrum = _kernel._convolution_kernel(s, radius + length - 1, length)
+    conv = _convolve(u.values, kern, spectrum)  # window [offset - kern_half, end-1 + kern_half]
     r_out = min(radius, kern_half)
     lo = kern_half - r_out
     out = -conv[lo : lo + length + 2 * r_out]
-    out[r_out : r_out + length] += a_s * u.values
+    out[r_out : r_out + length] += table.total_sum * u.values
     return Sequence(u.offset - r_out, out, trunc_bound=bound)
 
 

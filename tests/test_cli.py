@@ -311,6 +311,27 @@ def test_localize_kernel_radius_below_table_minimum_exits_2(tmp_path, capsys):
     assert "radius 1 too small" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flag, env", [("0", None), ("-3", None), (None, "0"), (None, "-3"), (None, "two")]
+)
+def test_localize_bad_worker_count_exits_2(tmp_path, capsys, monkeypatch, flag, env):
+    out = tmp_path / "x.csv"
+    args = ["localize", "--s", "0.5", "--c", "1", "--seeds", "1", "--window", "16"]
+    args += ["--kernel-radius", "4", "--depth", "2", "--out", str(out)]
+    if flag is not None:
+        args += ["--threads", flag]
+    monkeypatch.delenv("FRACLAT_THREADS", raising=False)
+    if env is not None:
+        monkeypatch.setenv("FRACLAT_THREADS", env)
+    assert main(args) == 2
+    assert not out.exists()
+    if flag is not None:
+        want = f"worker count must be a positive integer, got {flag}"
+    else:
+        want = f"FRACLAT_THREADS must be a positive integer, got {env!r}"
+    assert want in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # evolve
 # ---------------------------------------------------------------------------

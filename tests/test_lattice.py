@@ -106,6 +106,32 @@ def test_normalization_trims_and_preserves_values():
     assert again == padded  # idempotent
 
 
+@pytest.mark.parametrize(
+    "vals",
+    [
+        [1.5, 0.0, -2.0],  # both ends nonzero: no scan
+        [0.0, 0.0, 1.5, 0.0, -2.0, 0.0],
+        [-0.0, 3.0, -0.0],  # -0.0 is zero
+        [np.nan, 0.0, 2.0],  # nan is nonzero
+        [0.0, 1.0, np.nan],
+        [np.nan],
+        [-0.0, np.nan, -0.0],
+        [4.0],
+        [0.0],
+        [0.0, -0.0, 0.0],
+        [],
+    ],
+)
+def test_normalization_matches_flatnonzero_trim(vals):
+    vals = np.array(vals, dtype=float)
+    nz = np.flatnonzero(vals)
+    lo, hi = (int(nz[0]), int(nz[-1]) + 1) if nz.size else (0, 0)
+    u = Sequence(7, vals)
+    assert u.offset == (7 + lo if nz.size else 0)
+    assert u.values.tobytes() == vals[lo:hi].tobytes()
+    assert u.values is not vals and not np.shares_memory(u.values, vals)
+
+
 def test_zero_sequence_is_canonical():
     z = Sequence(17, np.zeros(5))
     assert z.offset == 0

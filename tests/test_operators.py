@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fraclat import (
     BudgetExceededError,
@@ -26,6 +28,7 @@ from fraclat import (
     norm,
     sup_dist,
 )
+from fraclat import kernel as _kernel
 from fraclat.operators import _fft_size, fftconvolve
 from conftest import random_sequence
 
@@ -172,7 +175,101 @@ def test_apply_dispatcher(rng):
     assert apply(u, OperatorSpec(2.5, 16, "composed")) == apply_composed(u, 2.5, 16)
 
 
-@pytest.mark.parametrize("na, nb", [(63, 65), (65, 100), (64, 4097), (1000, 8321)])
+def _reflect(u):
+    return Sequence(-(u.end - 1), u.values[::-1])
+
+
+# a fixed set of examples: the four properties add about a second to the suite
+_PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+# orders on both sides of the integers, radii and lengths on both sides of
+# the 64-point switch from direct sums to the FFT
+_orders = st.floats(min_value=0.05, max_value=3.9)
+_radii = st.integers(min_value=5, max_value=80)
+_lengths = st.integers(min_value=1, max_value=160)
+_seeds = st.integers(min_value=0, max_value=2**32 - 1)
+# multiples of 1/4: no subnormal products, whose relative error is not ~1e-16
+_coefficients = st.integers(min_value=-8, max_value=8).map(lambda k: k / 4)
+
+
+def _property_input(seed, length, offset=0):
+    vals = np.random.default_rng(seed).uniform(-1.0, 1.0, size=length)
+    vals[[0, -1]] = 1.0  # the support is exactly the drawn window
+    return Sequence(offset, vals)
+
+
+@_PROPERTY_SETTINGS
+@given(_orders, _radii, _lengths, _seeds, _coefficients, _coefficients)
+def test_fractional_is_linear(s, radius, length, seed, a, b):
+    spec = OperatorSpec(s, radius)
+    u = _property_input(seed, length)
+    v = _property_input(seed + 1, length)
+    w = apply_fractional(axpy(a, u, Sequence(0, b * v.values)), spec)
+    if len(w) == 0:
+        return
+    # w's window is complete; u's and v's cover it, since w's support lies in theirs
+    lo, hi = w.offset, w.end - 1
+    want = a * apply_fractional(u, spec).window(lo, hi)
+    want += b * apply_fractional(v, spec).window(lo, hi)
+    scale = kernel_sum(s) * (abs(a) + abs(b))
+    assert np.max(np.abs(w.window(lo, hi) - want)) <= 1e-12 * scale
+
+
+@_PROPERTY_SETTINGS
+@given(_orders, _radii, _lengths, _seeds, st.integers(-50, 50))
+def test_fractional_reflection_symmetric(s, radius, length, seed, offset):
+    spec = OperatorSpec(s, radius)
+    u = _property_input(seed, length, offset)
+    got = apply_fractional(_reflect(u), spec)
+    want = _reflect(apply_fractional(u, spec))
+    assert (got.offset, len(got)) == (want.offset, len(want))
+    assert sup_dist(got, want) <= 1e-12 * kernel_sum(s)
+
+
+@_PROPERTY_SETTINGS
+@given(_orders, _radii, _lengths, _seeds, st.integers(-1000, 1000))
+def test_fractional_translation_equivariant(s, radius, length, seed, shift):
+    spec = OperatorSpec(s, radius)
+    u = _property_input(seed, length)
+    base = apply_fractional(u, spec)
+    moved = apply_fractional(Sequence(shift, u.values), spec)
+    assert moved.offset == base.offset + shift
+    assert moved.values.tobytes() == base.values.tobytes()
+
+
+@_PROPERTY_SETTINGS
+@given(_orders, _radii, _lengths, _seeds)
+def test_fractional_cache_hit_equals_cold_call(s, radius, length, seed):
+    spec = OperatorSpec(s, radius)
+    u = _property_input(seed, length)
+    _kernel._convolution_kernel.cache_clear()
+    _kernel.build_table.cache_clear()
+    cold = apply_fractional(u, spec)
+    hit = apply_fractional(u, spec)
+    assert _kernel._convolution_kernel.cache_info().hits == 1
+    assert (hit.offset, hit.trunc_bound) == (cold.offset, cold.trunc_bound)
+    assert hit.values.tobytes() == cold.values.tobytes()
+
+
+def test_fft_size_is_smallest_5_smooth_length():
+    smooth = sorted(
+        2**i * 3**j * 5**k
+        for i in range(16)
+        for j in range(10)
+        for k in range(7)
+        if 2**i * 3**j * 5**k <= 40_000
+    )
+    for n in range(1, 20_001):
+        na = (n + 1) // 2
+        want = smooth[np.searchsorted(smooth, n)]
+        assert _fft_size(na, n + 1 - na) == want, n
+    assert _fft_size(4097, 8321) == 12_500
+
+
+@pytest.mark.parametrize(
+    "na, nb",
+    [(63, 65), (65, 100), (64, 4097), (1000, 8321)]
+    + [(100, 201), (129, 385), (257, 513), (4097, 8321)],  # 300, 540, 800, 12500 points
+)
 def test_fftconvolve_matches_direct(rng, na, nb):
     a = rng.uniform(-1.0, 1.0, size=na)
     b = rng.uniform(-1.0, 1.0, size=nb)
