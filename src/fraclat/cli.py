@@ -42,6 +42,10 @@ _EXIT_NUMERICAL = 1
 _EXIT_USAGE = 2
 _EXIT_BUDGET = 3
 
+# The largest --radius or --window accepted: a row of 2 * 10**7 + 1 doubles
+# is 160 MB.  Larger values exit 2 before anything is allocated.
+_MAX_SIZE = 10**7
+
 
 def _manifest(command: str, params: dict, elapsed: float) -> str:
     lines = [f"# fraclat {command}", f"# version = {__version__}"]
@@ -68,6 +72,11 @@ def _write_sequence_csv(
         lines.append(f"{int(n)},{float(val)!r}")
     body = "\n".join(lines) + "\n"
     _write_output(path, _manifest(command, params, time.perf_counter() - t0) + body)
+
+
+def _check_size(flag: str, value: int) -> None:
+    if value > _MAX_SIZE:
+        raise ValueError(f"{flag} {value} exceeds the size limit {_MAX_SIZE}")
 
 
 def _read_sequence(path: str) -> Sequence:
@@ -113,6 +122,7 @@ def _make_probe(name: str) -> tuple[str, Sequence]:
 
 def _cmd_kernel(args) -> int:
     t0 = time.perf_counter()
+    _check_size("--radius", args.radius)
     table = build_table(args.s, args.radius)
     params = {
         "s": repr(float(args.s)),
@@ -132,6 +142,7 @@ def _cmd_kernel(args) -> int:
 
 def _cmd_apply(args) -> int:
     t0 = time.perf_counter()
+    _check_size("--radius", args.radius)
     u = delta(0) if args.input is None else _read_sequence(args.input)
     spec = OperatorSpec(args.s, args.radius, args.path, args.budget)
     scheme = QuadratureScheme(
@@ -171,6 +182,7 @@ def _cmd_validate(args) -> int:
 
 def _cmd_localize(args) -> int:
     t0 = time.perf_counter()
+    _check_size("--window", args.window)
     seeds = _parse_seeds(args.seeds)
     probes = [_make_probe(name.strip()) for name in args.probes.split(",") if name.strip()]
     report = monte_carlo(
@@ -204,6 +216,7 @@ def _cmd_localize(args) -> int:
 
 def _cmd_evolve(args) -> int:
     t0 = time.perf_counter()
+    _check_size("--window", args.window)
     disorder = sample_disorder(args.c, args.seed, args.window)
     config = HamiltonianConfig(
         s=args.s, kernel_radius=args.kernel_radius, disorder=disorder

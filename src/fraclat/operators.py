@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -307,8 +308,16 @@ def _semigroup_window(v: Sequence, z: float, radius: int) -> tuple[np.ndarray, n
 # ---------------------------------------------------------------------------
 
 
-def _gl_nodes(n: int, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
+@lru_cache(maxsize=16)
+def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], read-only (built once per n)."""
     x, w = leggauss(n)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
+def _gl_nodes(n: int, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
+    x, w = _leggauss(n)
     mid = 0.5 * (lo + hi)
     halfw = 0.5 * (hi - lo)
     return mid + halfw * x, halfw * w

@@ -10,6 +10,7 @@ import pytest
 
 import fraclat
 from fraclat import Sequence, delta, format_sequence, heat_semigroup, sup_dist
+from fraclat import cli
 from fraclat.cli import main
 
 
@@ -55,6 +56,28 @@ def test_kernel_integer_order_rows_vanish(tmp_path):
 
 def test_kernel_invalid_order_exits_2(tmp_path):
     assert main(["kernel", "--s", "-1", "--radius", "8", "--out", str(tmp_path / "x")]) == 2
+
+
+_HUGE = 10**15  # beyond any address space: an allocation would fail at once
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["kernel", "--s", "0.5", "--radius", str(_HUGE)],
+        ["apply", "--s", "0.5", "--radius", str(_HUGE)],
+        ["localize", "--s", "0.5", "--c", "1", "--seeds", "1", "--window", str(_HUGE)],
+        ["evolve", "--s", "0.5", "--t", "1", "--dt", "0.1", "--window", str(_HUGE)],
+        ["kernel", "--s", "0.5", "--radius", str(cli._MAX_SIZE + 1)],
+    ],
+    ids=["kernel", "apply", "localize", "evolve", "kernel-limit"],
+)
+def test_huge_size_exits_2_before_allocating(argv, tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    assert main(argv + ["--out", str(out)]) == 2
+    flag, value = argv[-2:]
+    assert f"{flag} {value} exceeds the size limit {cli._MAX_SIZE}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_kernel_rerun_reproduces_rows(tmp_path):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fraclat import (
     Sequence,
@@ -164,6 +166,20 @@ def test_text_format_round_trip(rng):
     again = parse_sequence(format_sequence(u))
     assert again.offset == u.offset
     assert again.values.tobytes() == u.values.tobytes()  # bit-identical doubles
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(min_value=-(2**62), max_value=2**62),
+    st.lists(st.floats(allow_nan=False), max_size=40),
+)
+@example(5, [])
+@example(-3, [0.0, -0.0, 2.5, -0.0])
+def test_text_format_round_trip_property(offset, values):
+    u = Sequence(offset, np.array(values, dtype=float))
+    again = parse_sequence(format_sequence(u))
+    assert again.offset == u.offset
+    assert again.values.tobytes() == u.values.tobytes()  # -0.0, inf, subnormals
 
 
 def test_text_format_zero_sequence():

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.random import Generator, Philox
 
 from fraclat import (
@@ -108,6 +110,21 @@ def test_disorder_prefix_property(seed):
     small = sample_disorder(1.0, seed, 64).potential
     large = sample_disorder(1.0, seed, 2048).potential
     assert np.array_equal(small, large[2048 - 64 : 2048 + 65])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(min_value=-(2**63), max_value=2**64 - 1),
+    st.floats(min_value=0.0, max_value=10.0),
+    st.integers(min_value=1, max_value=400),
+    st.integers(min_value=1, max_value=400),
+)
+def test_disorder_prefix_property_any_windows(seed, c, w1, extra):
+    # the W1 window is the middle of the W2 window for every W1 < W2
+    w2 = w1 + extra
+    small = sample_disorder(c, seed, w1).potential
+    large = sample_disorder(c, seed, w2).potential
+    assert np.array_equal(small, large[w2 - w1 : w2 + w1 + 1])
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import scipy.special as sps
 
+from fraclat import special as _special
 from fraclat import (
     PoleError,
     bessel_i_scaled,
@@ -184,6 +185,63 @@ def test_log_gamma_vs_stdlib(rng):
 
 
 # ---------------------------------------------------------------------------
+# scalar path against the array path
+# ---------------------------------------------------------------------------
+
+# reflection (< 0.5), integers, half-integers, large arguments, and np.float64
+_SCALAR_GRID = [
+    1e-300, 1e-12, 0.1, 0.25, 0.49999999999999994, 0.5, 0.75, 1.0, 1, 2, 2.5,
+    3.7, 7, 10.5, 33.3, 170.6, 1e5, 1e5 + 0.25, np.float64(0.3), np.float64(12.0),
+]  # fmt: skip
+_SINPI_GRID = _SCALAR_GRID + [
+    -0.0, 0.0, -0.5, -1.5, -2.5, 1.5, -3, -7.25, 4503599627370497.0, -1e300,
+    math.nan, math.inf, -math.inf, np.float64(-2.5),
+]  # fmt: skip
+_BAD_ARGUMENTS = [0.0, 0, -1.0, -1, math.nan, math.inf]
+
+
+def _outcome(fn, *args):
+    """What a call gives: its exception (type and message) or its value's bits."""
+    try:
+        with np.errstate(all="ignore"):  # nan and inf warn on the array path only
+            value = fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return np.float64(np.ravel(value)[0]).tobytes()
+
+
+def _array_path(fn):
+    """Call ``fn`` with every argument as a 1-element array."""
+    return lambda *args: fn(*(np.array([a], dtype=float) for a in args))
+
+
+@pytest.mark.parametrize("x", _SCALAR_GRID + _BAD_ARGUMENTS)
+def test_log_gamma_scalar_path_matches_array_path(x):
+    assert _outcome(log_gamma, x) == _outcome(_array_path(log_gamma), x)
+
+
+@pytest.mark.parametrize("a", _SCALAR_GRID + _BAD_ARGUMENTS)
+def test_log_gamma_ratio_scalar_path_matches_array_path(a):
+    for b in (a, 0.5, 1.0, 3.25, 1e5, np.float64(2.0), 0.0, -1.0, math.nan):
+        assert _outcome(log_gamma_ratio, a, b) == _outcome(_array_path(log_gamma_ratio), a, b)
+
+
+@pytest.mark.parametrize("x", _SINPI_GRID)
+def test_sinpi_scalar_path_matches_array_path(x):
+    assert _outcome(_special._sinpi, x) == _outcome(_array_path(_special._sinpi), x)
+
+
+@pytest.mark.parametrize("fn", [gamma, reciprocal_gamma])
+def test_gamma_scalar_path_matches_array_path(fn, monkeypatch):
+    grid = _SCALAR_GRID + _BAD_ARGUMENTS + [-0.5, -2.5, -7.3, -30.1, -3.0 + 1e-13]
+    scalar = [_outcome(fn, z) for z in grid]
+    # gamma and reciprocal_gamma reach the array path through a 0-d array
+    array_log_gamma = _special.log_gamma
+    monkeypatch.setattr(_special, "log_gamma", lambda x: array_log_gamma(np.asarray(x)))
+    assert scalar == [_outcome(fn, z) for z in grid]
+
+
+# ---------------------------------------------------------------------------
 # Bessel
 # ---------------------------------------------------------------------------
 
@@ -273,6 +331,44 @@ def test_bessel_series_matches_per_order_reference(x):
         assert np.array_equal(row == 0.0, want == 0.0)
         nz = want != 0.0
         assert np.all(np.abs(row[nz] - want[nz]) <= 2e-15 * want[nz])
+
+
+def _bessel_row_series_active_set(x, kmax):
+    """The series summed as a loop over j with an active set of orders.
+
+    Returns the row and the number of steps j taken; the block-summed
+    production code must reproduce this loop bit for bit.
+    """
+    q = 0.25 * x * x
+    k = np.arange(kmax + 1)
+    log_t0 = k * math.log(0.5 * x) - log_gamma(k + 1.0)
+    out = np.zeros(kmax + 1)
+    active = np.flatnonzero(log_t0 - x >= -745.0)
+    term = np.exp(log_t0[active])
+    total = term.copy()
+    j = 0
+    while active.size:
+        j += 1
+        term *= q / (j * (j + active))
+        total += term
+        done = term <= 1e-18 * total
+        if done.any():
+            out[active[done]] = total[done]
+            keep = ~done
+            active, term, total = active[keep], term[keep], total[keep]
+    return math.exp(-x) * out, j
+
+
+def test_bessel_series_matches_active_set_loop():
+    steps = []
+    for x in (1e-4, 1e-3, 0.1, 1.0, 3.7, 10.0, 29.9, 30.0):
+        for kmax in (0, 1, 5, 24, 25, 64, 200, 600):
+            want, j = _bessel_row_series_active_set(x, kmax)
+            assert np.array_equal(bessel_i_scaled_row(x, kmax), want), (x, kmax)
+            steps.append(j)
+    # some rows run past one block, so carrying terms and sums over is tested
+    assert max(steps) > 2 * _special._SERIES_BLOCK
+    assert min(steps) < _special._SERIES_BLOCK
 
 
 def test_bessel_deep_order_tail():
