@@ -2,11 +2,12 @@
 localization ensembles, and time evolution, all with machine-readable CSV
 output.
 
-Every output file starts with a ``#``-prefixed manifest (command, resolved
-parameters, tool version, elapsed wall time); stripping comments and
-re-running with the recorded parameters reproduces the data rows byte for
-byte.  Exit codes: 0 success, 1 numerical failure, 2 argument or parse
-error, 3 budget or stability violation.
+Every output file starts with a ``#``-prefixed manifest: the command, the
+tool version, one line per parsed argument keyed by its ``argparse`` dest
+(``quad_inner`` is ``--quad-inner``), the computed values and the elapsed
+wall time.  Re-running with the recorded arguments reproduces the data rows
+byte for byte.  Exit codes: 0 success, 1 numerical failure, 2 argument or
+parse error, 3 budget or stability violation.
 """
 
 from __future__ import annotations
@@ -45,38 +46,50 @@ _EXIT_BUDGET = 3
 # The largest --radius or --window accepted: a row of 2 * 10**7 + 1 doubles
 # is 160 MB.  Larger values exit 2 before anything is allocated.
 _MAX_SIZE = 10**7
+# The largest --quad-inner or --quad-outer accepted.  The oracle builds the
+# Gauss-Legendre rules of n and 2n nodes, each from the eigenvalues of an
+# n x n matrix: at n = 1024 the two take about 2.6 s of CPU (2-vCPU Xeon).
+_MAX_NODES = 1024
+# The most seeds --seeds may name.  The ensemble keeps probes x depth result
+# rows of about 100 bytes per seed until the CSV is written.
+_MAX_SEEDS = 10**5
 
 
-def _manifest(command: str, params: dict, elapsed: float) -> str:
-    lines = [f"# fraclat {command}", f"# version = {__version__}"]
-    for key in sorted(params):
-        lines.append(f"# {key} = {params[key]}")
-    lines.append(f"# elapsed_seconds = {elapsed:.3f}")
-    return "\n".join(lines) + "\n"
+def _cell(value) -> str:
+    # np.float64 is a float whose repr under numpy 2 is 'np.float64(...)'
+    return repr(float(value)) if isinstance(value, float) else str(value)
 
 
-def _write_output(path: str, text: str) -> None:
-    if path == "-":
+def _write_csv(args, results: dict, header: str, rows, t0: float) -> None:
+    """Write the manifest, ``header`` and ``rows`` to ``args.out`` ('-' is stdout).
+
+    The manifest lists every parsed argument but the output path, then the
+    computed ``results``; every manifest value and table cell goes through
+    ``_cell``.
+    """
+    lines = [f"# fraclat {args.command}", f"# version = {__version__}"]
+    params = sorted(vars(args).items())
+    for key, value in [*params, *results.items()]:
+        if key not in ("func", "command", "out"):
+            lines.append(f"# {key} = {_cell(value)}")
+    lines.append(f"# elapsed_seconds = {time.perf_counter() - t0:.3f}")
+    lines.append(header)
+    lines.extend(",".join(map(_cell, row)) for row in rows)
+    text = "\n".join(lines) + "\n"
+    if args.out == "-":
         sys.stdout.write(text)
     else:
-        with open(path, "w", encoding="utf-8") as fh:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
 
 
-def _write_sequence_csv(
-    path: str, command: str, params: dict, seq: Sequence, t0: float
-) -> None:
-    """Write the manifest and one ``n,value`` row per site of ``seq``."""
-    lines = ["n,value"]
-    for n, val in zip(seq.indices(), seq.values):
-        lines.append(f"{int(n)},{float(val)!r}")
-    body = "\n".join(lines) + "\n"
-    _write_output(path, _manifest(command, params, time.perf_counter() - t0) + body)
+def _sequence_rows(seq: Sequence):
+    return zip(seq.indices().tolist(), seq.values.tolist())
 
 
-def _check_size(flag: str, value: int) -> None:
-    if value > _MAX_SIZE:
-        raise ValueError(f"{flag} {value} exceeds the size limit {_MAX_SIZE}")
+def _check_size(flag: str, value: int, limit: int = _MAX_SIZE) -> None:
+    if value > limit:
+        raise ValueError(f"{flag} {value} exceeds the size limit {limit}")
 
 
 def _read_sequence(path: str) -> Sequence:
@@ -92,14 +105,13 @@ def _parse_seeds(text: str) -> list[int]:
         part = part.strip()
         if not part:
             continue
-        if ".." in part:
-            lo_s, hi_s = part.split("..", 1)
-            lo, hi = int(lo_s), int(hi_s)
-            if hi < lo:
-                raise ValueError(f"bad seed range {part!r}")
-            seeds.extend(range(lo, hi + 1))
-        else:
-            seeds.append(int(part))
+        lo_s, sep, hi_s = part.partition("..")
+        lo, hi = int(lo_s), int(hi_s if sep else lo_s)
+        if hi < lo:
+            raise ValueError(f"bad seed range {part!r}")
+        if len(seeds) + hi - lo + 1 > _MAX_SEEDS:  # before the range is expanded
+            raise ValueError(f"--seeds {text} names more than {_MAX_SEEDS} seeds")
+        seeds.extend(range(lo, hi + 1))
     if not seeds:
         raise ValueError("no seeds given")
     return seeds
@@ -124,17 +136,8 @@ def _cmd_kernel(args) -> int:
     t0 = time.perf_counter()
     _check_size("--radius", args.radius)
     table = build_table(args.s, args.radius)
-    params = {
-        "s": repr(float(args.s)),
-        "radius": args.radius,
-        "A_s": repr(table.total_sum),
-        "tail_bound": repr(table.tail_bound),
-    }
-    lines = ["k,K_s_k"]
-    for k in range(args.radius + 1):
-        lines.append(f"{k},{float(table.values[k])!r}")
-    body = "\n".join(lines) + "\n"
-    _write_output(args.out, _manifest("kernel", params, time.perf_counter() - t0) + body)
+    results = {"A_s": table.total_sum, "tail_bound": table.tail_bound}
+    _write_csv(args, results, "k,K_s_k", enumerate(table.values.tolist()), t0)
     print(f"A_s = {table.total_sum!r}")
     print(f"tail_bound = {table.tail_bound!r}")
     return _EXIT_OK
@@ -143,6 +146,8 @@ def _cmd_kernel(args) -> int:
 def _cmd_apply(args) -> int:
     t0 = time.perf_counter()
     _check_size("--radius", args.radius)
+    _check_size("--quad-inner", args.quad_inner, _MAX_NODES)
+    _check_size("--quad-outer", args.quad_outer, _MAX_NODES)
     u = delta(0) if args.input is None else _read_sequence(args.input)
     spec = OperatorSpec(args.s, args.radius, args.path, args.budget)
     scheme = QuadratureScheme(
@@ -152,15 +157,8 @@ def _cmd_apply(args) -> int:
         z_max=args.quad_zmax,
     )
     result = apply(u, spec, scheme)
-    params = {
-        "s": repr(float(args.s)),
-        "radius": args.radius,
-        "path": args.path,
-        "error_budget": repr(float(args.budget)),
-        "input": args.input or "delta:0",
-        "trunc_bound": repr(result.trunc_bound),
-    }
-    _write_sequence_csv(args.out, "apply", params, result, t0)
+    results = {"trunc_bound": result.trunc_bound}
+    _write_csv(args, results, "n,value", _sequence_rows(result), t0)
     return _EXIT_OK
 
 
@@ -182,6 +180,8 @@ def _cmd_validate(args) -> int:
 
 def _cmd_localize(args) -> int:
     t0 = time.perf_counter()
+    if args.threads < 1:
+        raise ValueError(f"worker count must be a positive integer, got {args.threads}")
     _check_size("--window", args.window)
     seeds = _parse_seeds(args.seeds)
     probes = [_make_probe(name.strip()) for name in args.probes.split(",") if name.strip()]
@@ -194,22 +194,8 @@ def _cmd_localize(args) -> int:
         depth=args.depth,
         probes=probes,
         residual_tol=args.residual_tol,
-        max_workers=args.threads,
     )
-    params = {
-        "s": repr(float(args.s)),
-        "c": repr(float(args.c)),
-        "window": args.window,
-        "kernel_radius": args.kernel_radius,
-        "depth": args.depth,
-        "seeds": args.seeds,
-        "probes": args.probes,
-        "residual_tol": repr(float(args.residual_tol)),
-    }
-    body = report.to_csv()
-    _write_output(
-        args.out, _manifest("localize", params, time.perf_counter() - t0) + body
-    )
+    _write_csv(args, {}, "seed,probe_id,depth,residual", report.rows, t0)
     sys.stdout.write(report.summary_csv())
     return _EXIT_OK
 
@@ -239,22 +225,11 @@ def _cmd_evolve(args) -> int:
         while t + step < args.t * (1.0 - 1e-12):
             state = evolve(state, config, step, args.dt, sign=sign)
             t += step
-            snap_params = {"t": repr(t), "seed": args.seed, "sign": args.sign}
-            _write_sequence_csv(f"{args.out}.t{t:g}.csv", "evolve", snap_params, state, t0)
+            snap = argparse.Namespace(**{**vars(args), "out": f"{args.out}.t{t:g}.csv"})
+            _write_csv(snap, {"snapshot_t": t}, "n,value", _sequence_rows(state), t0)
         result = evolve(state, config, args.t - t, min(args.dt, args.t - t), sign=sign)
-    params = {
-        "s": repr(float(args.s)),
-        "c": repr(float(args.c)),
-        "seed": args.seed,
-        "window": args.window,
-        "kernel_radius": args.kernel_radius,
-        "t_end": repr(float(args.t)),
-        "dt": repr(float(args.dt)),
-        "sign": args.sign,
-        "trunc_bound": repr(result.trunc_bound),
-        "mass": repr(float(sum(result.values))),
-    }
-    _write_sequence_csv(args.out, "evolve", params, result, t0)
+    results = {"trunc_bound": result.trunc_bound, "mass": sum(result.values)}
+    _write_csv(args, results, "n,value", _sequence_rows(result), t0)
     print(f"norm = {norm(result)!r}")
     return _EXIT_OK
 
@@ -311,10 +286,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--probes", default="odd", help="comma list: odd, even, delta:<n>")
     p.add_argument("--residual-tol", dest="residual_tol", type=float, default=1e-12)
     p.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        help="must be at least 1 (default $FRACLAT_THREADS or 1); no effect, seeds run serially",
+        "--threads", type=int, default=1, help="must be at least 1; no effect, seeds run serially"
     )
     p.add_argument("--out", default="-")
     p.set_defaults(func=_cmd_localize)

@@ -99,9 +99,6 @@ class Sequence:
     def indices(self) -> np.ndarray:
         return np.arange(self.offset, self.end)
 
-    def with_trunc_bound(self, bound: float) -> "Sequence":
-        return Sequence(self.offset, self.values, trunc_bound=bound)
-
 
 def delta(n: int) -> Sequence:
     """Kronecker delta at lattice site n."""

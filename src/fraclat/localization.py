@@ -18,7 +18,6 @@ outside; the mass clipped at the boundary is reported through the result's
 from __future__ import annotations
 
 import math
-import os
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 
@@ -132,14 +131,14 @@ class HamiltonianConfig:
     """H = (-Lap)^s + disorder diagonal on a finite window.
 
     ``kernel_radius`` is the truncation radius handed to the kernel-series
-    path; it must fit inside the disorder window.  The only supported
-    boundary policy is zero extension with clipped-mass reporting.
+    path; it must fit inside the disorder window.  Outside the window the
+    state is zero: whatever H moves beyond it is dropped, and the dropped
+    magnitude is reported through ``trunc_bound``.
     """
 
     s: float
     kernel_radius: int
     disorder: DisorderRealization
-    boundary: str = "zero-extension"
 
     def __post_init__(self):
         if not math.isfinite(self.s) or self.s <= 0.0:
@@ -148,8 +147,6 @@ class HamiltonianConfig:
             raise ValueError("kernel_radius must be a positive integer")
         if self.kernel_radius > self.disorder.window_radius:
             raise ValueError("kernel_radius must not exceed the window radius")
-        if self.boundary != "zero-extension":
-            raise ValueError(f"unsupported boundary policy {self.boundary!r}")
 
     @property
     def window_radius(self) -> int:
@@ -396,19 +393,16 @@ class EnsembleReport:
     """Per-seed residual rows plus ensemble statistics.
 
     ``rows`` holds (seed, probe_id, depth, residual) in seed order, depths
-    1..depth per probe; the CSV rendering is a pure function of the inputs,
-    so identical parameters give identical bytes.
+    1..depth per probe; the CSV rendering (header and rows, no manifest) is
+    a pure function of the inputs, so identical parameters give identical
+    bytes.
     """
 
-    params: dict
     rows: list[tuple[int, str, int, float]]
     summary: dict = field(default_factory=dict)
 
     def to_csv(self) -> str:
-        lines = []
-        for key, val in self.params.items():
-            lines.append(f"# {key} = {val}")
-        lines.append("seed,probe_id,depth,residual")
+        lines = ["seed,probe_id,depth,residual"]
         for seed, pid, depth, res in self.rows:
             lines.append(f"{seed},{pid},{depth},{res!r}")
         return "\n".join(lines) + "\n"
@@ -429,17 +423,14 @@ def monte_carlo(
     depth: int,
     probes: list[tuple[str, Sequence]],
     residual_tol: float = 1e-12,
-    max_workers: int | None = None,
 ) -> EnsembleReport:
     """Run the seeded disorder ensemble and collect span residuals.
 
     For every seed the full pipeline (disorder, orbit, per-depth residual of
     every probe) is deterministic, so the report is bit-reproducible for a
-    fixed argument set.  Seeds run one after another in this thread.
-    ``max_workers`` (default: the FRACLAT_THREADS environment variable,
-    falling back to 1) must be a positive integer but has no effect: a
+    fixed argument set.  Seeds run one after another in this thread: a
     thread pool gave no speedup, because the per-seed work holds the
-    interpreter lock, and the results never depended on the worker count.
+    interpreter lock.
     """
     seeds = [int(x) for x in seeds]
     if not seeds:
@@ -453,12 +444,6 @@ def monte_carlo(
             raise ValueError(f"probe {pid!r} is not unit norm")
         if len(probe) and (probe.offset < -window_radius or probe.end - 1 > window_radius):
             raise SupportOverflowError(f"probe {pid!r} exceeds the window")
-    if max_workers is None:
-        env = os.environ.get("FRACLAT_THREADS", "1")
-        if not env.strip().isdecimal() or int(env) < 1:
-            raise ValueError(f"FRACLAT_THREADS must be a positive integer, got {env!r}")
-    elif int(max_workers) < 1:
-        raise ValueError(f"worker count must be a positive integer, got {max_workers!r}")
 
     def job(seed: int) -> list[tuple[int, str, int, float]]:
         disorder = sample_disorder(c, seed, window_radius)
@@ -484,17 +469,4 @@ def monte_carlo(
                 min(vals),
                 max(vals),
             )
-    from . import __version__
-
-    params = {
-        "s": repr(float(s)),
-        "c": repr(float(c)),
-        "window_radius": int(window_radius),
-        "kernel_radius": int(kernel_radius),
-        "depth": depth,
-        "residual_tol": repr(float(residual_tol)),
-        "seeds": ",".join(str(x) for x in seeds),
-        "probes": ",".join(pid for pid, _ in probes),
-        "version": __version__,
-    }
-    return EnsembleReport(params=params, rows=rows, summary=summary)
+    return EnsembleReport(rows=rows, summary=summary)

@@ -189,24 +189,25 @@ def reciprocal_gamma(z: float) -> float:
 
 
 def log_gamma_ratio(a, b):
-    """ln(Gamma(a) / Gamma(b)) for a, b > 0, computed in log space.
+    """ln(Gamma(a) / Gamma(b)) for finite a, b > 0, computed in log space.
 
     The two Lanczos representations are combined analytically before any
     large term is formed, so ratios with a ~ b stay fully accurate even for
     arguments around 1e5 where independent ``lgamma`` calls would lose
     digits to cancellation.  Accepts scalars or numpy arrays (broadcast).
     """
-    # Python scalars from 0.5 up take the scalar path; there no Lanczos
+    # finite Python scalars from 0.5 up take the scalar path; there no Lanczos
     # denominator x - 1 + i rounds to 0, which Python division would raise on
-    if isinstance(a, (int, float)) and isinstance(b, (int, float)) and a >= 0.5 and b >= 0.5:
+    scalars = isinstance(a, (int, float)) and isinstance(b, (int, float))
+    if scalars and 0.5 <= a < math.inf and 0.5 <= b < math.inf:
         a, b = float(a), float(b)
         return 0.0 if a == b else float(_log_gamma_ratio_lanczos(a, b))
     a_arr = np.asarray(a, dtype=float)
     b_arr = np.asarray(b, dtype=float)
     scalar = a_arr.ndim == 0 and b_arr.ndim == 0
     a_arr, b_arr = np.broadcast_arrays(np.atleast_1d(a_arr), np.atleast_1d(b_arr))
-    if np.any(a_arr <= 0.0) or np.any(b_arr <= 0.0):
-        raise ValueError("log_gamma_ratio requires positive arguments")
+    if not np.all((a_arr > 0.0) & (a_arr < np.inf) & (b_arr > 0.0) & (b_arr < np.inf)):
+        raise ValueError("log_gamma_ratio requires positive finite arguments")
 
     out = np.where(a_arr == b_arr, 0.0, _log_gamma_ratio_lanczos(a_arr, b_arr))
     return float(out[0]) if scalar else out

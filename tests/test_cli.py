@@ -80,6 +80,32 @@ def test_huge_size_exits_2_before_allocating(argv, tmp_path, capsys):
     assert not out.exists()
 
 
+_QUADRATURE = ["apply", "--s", "0.5", "--path", "quadrature"]
+# a small run, should the limit let the seeds through
+_SMALL_LOCALIZE = ["localize", "--s", "0.5", "--c", "1", "--window", "16"]
+_SMALL_LOCALIZE += ["--kernel-radius", "4", "--depth", "1"]
+
+
+@pytest.mark.parametrize(
+    "argv, flag, limit",
+    [
+        (_QUADRATURE + ["--quad-inner", str(_HUGE)], "--quad-inner", cli._MAX_NODES),
+        (_QUADRATURE + ["--quad-outer", str(_HUGE)], "--quad-outer", cli._MAX_NODES),
+        (_QUADRATURE + ["--quad-inner", str(cli._MAX_NODES + 1)], "--quad-inner", cli._MAX_NODES),
+        (_SMALL_LOCALIZE + ["--seeds", f"1..{_HUGE}"], "--seeds", cli._MAX_SEEDS),
+        (_SMALL_LOCALIZE + ["--seeds", f"0,1..{cli._MAX_SEEDS}"], "--seeds", cli._MAX_SEEDS),
+    ],
+    ids=["quad-inner", "quad-outer", "quad-limit", "seeds", "seeds-limit"],
+)
+def test_huge_count_exits_2_before_allocating(argv, flag, limit, tmp_path, capsys):
+    # checked before the Gauss-Legendre rule is built or the seed range expanded
+    out = tmp_path / "x.csv"
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert flag in err and str(limit) in err
+    assert not out.exists()
+
+
 def test_kernel_rerun_reproduces_rows(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     main(["kernel", "--s", "0.75", "--radius", "32", "--out", str(a)])
@@ -334,24 +360,15 @@ def test_localize_kernel_radius_below_table_minimum_exits_2(tmp_path, capsys):
     assert "radius 1 too small" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize(
-    "flag, env", [("0", None), ("-3", None), (None, "0"), (None, "-3"), (None, "two")]
-)
-def test_localize_bad_worker_count_exits_2(tmp_path, capsys, monkeypatch, flag, env):
+# the ids match those of the earlier (flag, environment variable) cases
+@pytest.mark.parametrize("flag", ["0", "-3"], ids=["0-None", "-3-None"])
+def test_localize_bad_worker_count_exits_2(tmp_path, capsys, flag):
     out = tmp_path / "x.csv"
     args = ["localize", "--s", "0.5", "--c", "1", "--seeds", "1", "--window", "16"]
-    args += ["--kernel-radius", "4", "--depth", "2", "--out", str(out)]
-    if flag is not None:
-        args += ["--threads", flag]
-    monkeypatch.delenv("FRACLAT_THREADS", raising=False)
-    if env is not None:
-        monkeypatch.setenv("FRACLAT_THREADS", env)
+    args += ["--kernel-radius", "4", "--depth", "2", "--out", str(out), "--threads", flag]
     assert main(args) == 2
     assert not out.exists()
-    if flag is not None:
-        want = f"worker count must be a positive integer, got {flag}"
-    else:
-        want = f"FRACLAT_THREADS must be a positive integer, got {env!r}"
+    want = f"worker count must be a positive integer, got {flag}"
     assert want in capsys.readouterr().err
 
 
@@ -532,6 +549,70 @@ def test_evolve_snapshots(tmp_path):
     a = _as_sequence(_data_rows(out))
     b = _as_sequence(_data_rows(direct))
     assert sup_dist(a, b) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# manifest
+# ---------------------------------------------------------------------------
+
+# manifest keys that are not arguments: the tool version and computed values
+_COMPUTED = {
+    "version", "A_s", "tail_bound", "trunc_bound", "mass", "snapshot_t", "elapsed_seconds"
+}
+
+
+def _rerun_argv(command, path):
+    """The argv that the ``# key = value`` argument lines of ``path`` record."""
+    argv = [command]
+    with open(path, "r", encoding="utf-8") as fh:
+        for line in fh.read().splitlines():
+            key, sep, value = line[2:].partition(" = ")
+            if line.startswith("# ") and sep and key not in _COMPUTED and value != "None":
+                argv += ["--" + key.replace("_", "-"), value]
+    return argv
+
+
+@pytest.mark.parametrize(
+    "argv, suffixes",
+    [
+        (["kernel", "--s", "0.75", "--radius", "32"], [""]),
+        (["apply", "--s", "0.5", "--radius", "16", "--path", "series"], [""]),
+        (
+            ["apply", "--s", "0.5", "--path", "quadrature", "--radius", "8"]
+            + ["--quad-inner", "48", "--quad-outer", "48"],
+            [""],
+        ),
+        (
+            ["localize", "--s", "0.5", "--c", "1", "--seeds", "1..2", "--window", "24"]
+            + ["--kernel-radius", "4", "--depth", "3", "--probes", "odd,delta:1"],
+            [""],
+        ),
+        (
+            ["evolve", "--s", "0.5", "--c", "1", "--seed", "3", "--t", "0.5", "--dt", "0.01"]
+            + ["--window", "24", "--kernel-radius", "4", "--input", "{u}"]
+            + ["--snapshot-every", "0.2"],
+            ["", ".t0.2.csv"],
+        ),
+    ],
+    ids=["kernel", "apply-series", "apply-quadrature", "localize", "evolve"],
+)
+def test_manifest_reruns_to_the_same_rows(tmp_path, argv, suffixes):
+    u = tmp_path / "u.txt"
+    u.write_text(format_sequence(Sequence(-2, np.array([0.5, -1.0, 2.0]))), encoding="utf-8")
+    argv = [str(u) if a == "{u}" else a for a in argv]
+    first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+    assert main(argv + ["--out", str(first)]) == 0
+    parser = cli._build_parser()
+    for suffix in suffixes:
+        path = f"{first}{suffix}"
+        with open(path, "r", encoding="utf-8") as fh:
+            assert sum(ln.startswith("# version") for ln in fh) == 1
+        rerun = _rerun_argv(argv[0], path)
+        # every parsed argument is recorded
+        recorded = vars(parser.parse_args(rerun + ["--out", str(second)]))
+        assert recorded == vars(parser.parse_args(argv + ["--out", str(second)]))
+        assert main(rerun + ["--out", str(second)]) == 0
+        assert _data_rows(f"{second}{suffix}") == _data_rows(path)
 
 
 # ---------------------------------------------------------------------------

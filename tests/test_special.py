@@ -155,6 +155,16 @@ def test_log_gamma_ratio_domain():
         log_gamma_ratio(2.0, 0.0)
 
 
+@pytest.mark.parametrize(
+    "a, b", [(math.nan, 2.0), (2.0, math.inf), (math.inf, 2.0), (-math.inf, 2.0)]
+)
+def test_log_gamma_ratio_rejects_non_finite(a, b):
+    # the scalar path, with Python and numpy scalars, and the array path
+    for args in [(a, b), (np.float64(a), np.float64(b)), (np.array([a, 1.5]), np.array([b, 3.0]))]:
+        with pytest.raises(ValueError, match="positive finite arguments"):
+            log_gamma_ratio(*args)
+
+
 def test_log_gamma_ratio_large_arguments_vs_mpmath():
     # exp of the ratio must keep 1e-12 relative accuracy up to 1e6
     with mpmath.workdps(40):
