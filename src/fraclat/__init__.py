@@ -48,7 +48,6 @@ from .operators import (
     BudgetExceededError,
     OperatorSpec,
     QuadratureConvergenceError,
-    QuadratureScheme,
     apply,
     apply_composed,
     apply_fractional,
@@ -108,7 +107,6 @@ __all__ = [
     "BudgetExceededError",
     "QuadratureConvergenceError",
     "OperatorSpec",
-    "QuadratureScheme",
     "apply",
     "apply_integer_power",
     "apply_fractional",

@@ -4,7 +4,7 @@ output.
 
 Every output file starts with a ``#``-prefixed manifest: the command, the
 tool version, one line per parsed argument keyed by its ``argparse`` dest
-(``quad_inner`` is ``--quad-inner``), the computed values and the elapsed
+(``kernel_radius`` is ``--kernel-radius``), the computed values and the elapsed
 wall time.  Re-running with the recorded arguments reproduces the data rows
 byte for byte.  Exit codes: 0 success, 1 numerical failure, 2 argument or
 parse error, 3 budget or stability violation.
@@ -34,7 +34,6 @@ from .operators import (
     BudgetExceededError,
     OperatorSpec,
     QuadratureConvergenceError,
-    QuadratureScheme,
     apply,
 )
 
@@ -46,10 +45,6 @@ _EXIT_BUDGET = 3
 # The largest --radius or --window accepted: a row of 2 * 10**7 + 1 doubles
 # is 160 MB.  Larger values exit 2 before anything is allocated.
 _MAX_SIZE = 10**7
-# The largest --quad-inner or --quad-outer accepted.  The oracle builds the
-# Gauss-Legendre rules of n and 2n nodes, each from the eigenvalues of an
-# n x n matrix: at n = 1024 the two take about 2.6 s of CPU (2-vCPU Xeon).
-_MAX_NODES = 1024
 # The most seeds --seeds may name.  The ensemble keeps probes x depth result
 # rows of about 100 bytes per seed until the CSV is written.
 _MAX_SEEDS = 10**5
@@ -146,17 +141,9 @@ def _cmd_kernel(args) -> int:
 def _cmd_apply(args) -> int:
     t0 = time.perf_counter()
     _check_size("--radius", args.radius)
-    _check_size("--quad-inner", args.quad_inner, _MAX_NODES)
-    _check_size("--quad-outer", args.quad_outer, _MAX_NODES)
     u = delta(0) if args.input is None else _read_sequence(args.input)
     spec = OperatorSpec(args.s, args.radius, args.path, args.budget)
-    scheme = QuadratureScheme(
-        split_point=args.quad_split,
-        nodes_inner=args.quad_inner,
-        nodes_outer=args.quad_outer,
-        z_max=args.quad_zmax,
-    )
-    result = apply(u, spec, scheme)
+    result = apply(u, spec)
     results = {"trunc_bound": result.trunc_bound}
     _write_csv(args, results, "n,value", _sequence_rows(result), t0)
     return _EXIT_OK
@@ -204,9 +191,9 @@ def _cmd_evolve(args) -> int:
     t0 = time.perf_counter()
     _check_size("--window", args.window)
     disorder = sample_disorder(args.c, args.seed, args.window)
-    config = HamiltonianConfig(
-        s=args.s, kernel_radius=args.kernel_radius, disorder=disorder
-    )
+    # evolve uses every lag in the window and does not read kernel_radius;
+    # the window radius is always a valid value
+    config = HamiltonianConfig(s=args.s, kernel_radius=args.window, disorder=disorder)
     u0 = delta(0) if args.input is None else _read_sequence(args.input)
     sign = +1 if args.sign == "plus" else -1
     step = args.snapshot_every
@@ -265,10 +252,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--input", default=None, help="sequence file ('-' for stdin; default delta at 0)")
     p.add_argument("--budget", type=float, default=math.inf, help="truncation error budget")
-    p.add_argument("--quad-split", dest="quad_split", type=float, default=1.0)
-    p.add_argument("--quad-inner", dest="quad_inner", type=int, default=96)
-    p.add_argument("--quad-outer", dest="quad_outer", type=int, default=96)
-    p.add_argument("--quad-zmax", dest="quad_zmax", type=float, default=200.0)
     p.add_argument("--out", default="-")
     p.set_defaults(func=_cmd_apply)
 
@@ -299,14 +282,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dt", type=float, required=True, help="RK4 step")
     p.add_argument("--sign", choices=("plus", "minus"), default="plus")
     p.add_argument("--window", type=int, default=128)
-    p.add_argument(
-        "--kernel-radius",
-        dest="kernel_radius",
-        type=int,
-        default=32,
-        help="checked against --window but does not affect evolve, which uses "
-        "every lag in the window",
-    )
     p.add_argument("--input", default=None)
     p.add_argument(
         "--snapshot-every",

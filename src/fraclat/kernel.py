@@ -64,7 +64,7 @@ class NearIntegerOrderError(ValueError):
 def _check_order(s: float) -> float:
     s = float(s)
     if not math.isfinite(s) or s <= 0.0:
-        raise ValueError(f"order must be positive, got {s!r}")
+        raise ValueError(f"order must be positive and finite, got {s!r}")
     return s
 
 

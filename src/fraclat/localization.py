@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.random import Philox
 
-from .kernel import _convolution_kernel, kernel_sum
+from .kernel import _check_order, _convolution_kernel, kernel_sum
 from .lattice import Sequence, delta, norm
 from .operators import OperatorSpec, _convolve, apply_fractional
 
@@ -141,8 +141,7 @@ class HamiltonianConfig:
     disorder: DisorderRealization
 
     def __post_init__(self):
-        if not math.isfinite(self.s) or self.s <= 0.0:
-            raise ValueError(f"order must be positive and finite, got {self.s!r}")
+        _check_order(self.s)
         if self.kernel_radius < 1:
             raise ValueError("kernel_radius must be a positive integer")
         if self.kernel_radius > self.disorder.window_radius:
@@ -460,13 +459,11 @@ def monte_carlo(
 
     # one seed at a time; a seed's basis is freed before the next one is built
     rows = [row for seed in seeds for row in job(seed)]
-    summary: dict[tuple[str, int], tuple[float, float, float]] = {}
-    for pid, _ in probes:
-        for d in range(1, depth + 1):
-            vals = [r[3] for r in rows if r[1] == pid and r[2] == d]
-            summary[(pid, d)] = (
-                float(math.fsum(vals) / len(vals)),
-                min(vals),
-                max(vals),
-            )
+    groups: dict[tuple[str, int], list[float]] = {}
+    for _, pid, d, r in rows:  # in seed order
+        groups.setdefault((pid, d), []).append(r)
+    summary = {
+        key: (float(math.fsum(vals) / len(vals)), min(vals), max(vals))
+        for key, vals in groups.items()
+    }
     return EnsembleReport(rows=rows, summary=summary)

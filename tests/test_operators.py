@@ -11,7 +11,7 @@ from fraclat import (
     BudgetExceededError,
     NearIntegerOrderError,
     OperatorSpec,
-    QuadratureScheme,
+    QuadratureConvergenceError,
     Sequence,
     apply,
     apply_composed,
@@ -378,13 +378,31 @@ def test_oracle_rejects_integer_order():
         apply_quadrature_oracle(delta(0), 2.0)
 
 
-def test_quadrature_scheme_validation():
-    with pytest.raises(ValueError):
-        QuadratureScheme(split_point=0.0)
-    with pytest.raises(ValueError):
-        QuadratureScheme(z_max=0.5)
-    with pytest.raises(ValueError):
-        QuadratureScheme(nodes_inner=4)
+def test_oracle_refines_its_rule_near_an_integer_order():
+    # the 96- and 192-node rules differ by 5.9e-6 here; finer ones agree
+    series = apply_fractional(delta(0), OperatorSpec(0.99999, 64))
+    oracle = apply_quadrature_oracle(delta(0), 0.99999, radius=64)
+    assert sup_dist(series, oracle) < 1e-6
+
+
+def test_oracle_raises_when_the_finest_rule_does_not_converge():
+    u = Sequence(-20, np.random.default_rng(1).uniform(-1.0, 1.0, 41))
+    with pytest.raises(QuadratureConvergenceError, match="1536-node"):
+        apply_quadrature_oracle(u, 12.25)
+
+
+@pytest.mark.parametrize("s", [math.inf, math.nan])
+@pytest.mark.parametrize(
+    "path",
+    [
+        lambda s: apply_composed(delta(0), s, 8),
+        lambda s: apply_quadrature_oracle(delta(0), s),
+    ],
+    ids=["composed", "quadrature"],
+)
+def test_non_finite_order_rejected(path, s):
+    with pytest.raises(ValueError, match="order must be positive and finite"):
+        path(s)
 
 
 # ---------------------------------------------------------------------------
