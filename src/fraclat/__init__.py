@@ -43,6 +43,7 @@ from .localization import (
     monte_carlo,
     orbit_basis,
     sample_disorder,
+    trajectory,
 )
 from .operators import (
     BudgetExceededError,
@@ -54,7 +55,6 @@ from .operators import (
     apply_integer_power,
     apply_quadrature_oracle,
     heat_semigroup,
-    log_norm_estimate,
 )
 from .special import (
     PoleError,
@@ -113,7 +113,6 @@ __all__ = [
     "apply_composed",
     "heat_semigroup",
     "apply_quadrature_oracle",
-    "log_norm_estimate",
     # localization
     "SupportOverflowError",
     "StabilityError",
@@ -124,6 +123,7 @@ __all__ = [
     "OrbitBasis",
     "orbit_basis",
     "krylov_residual",
+    "trajectory",
     "evolve",
     "EnsembleReport",
     "monte_carlo",

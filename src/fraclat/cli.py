@@ -16,6 +16,7 @@ import argparse
 import math
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -29,6 +30,7 @@ from .localization import (
     evolve,
     monte_carlo,
     sample_disorder,
+    trajectory,
 )
 from .operators import (
     BudgetExceededError,
@@ -88,10 +90,14 @@ def _check_size(flag: str, value: int, limit: int = _MAX_SIZE) -> None:
 
 
 def _read_sequence(path: str) -> Sequence:
-    if path == "-":
-        return parse_sequence(sys.stdin.read())
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_sequence(fh.read())
+    seq = parse_sequence(sys.stdin.read() if path == "-" else Path(path).read_text("utf-8"))
+    if not np.all(np.isfinite(seq.values)):
+        raise ValueError(f"input sequence {path} holds a non-finite value")
+    return seq
+
+
+def _snapshot_path(out: str, t: float) -> str:
+    return f"{out}.t{t:.12g}.csv"  # 12 digits tell the times of distinct steps apart
 
 
 def _parse_seeds(text: str) -> list[int]:
@@ -196,25 +202,15 @@ def _cmd_evolve(args) -> int:
     config = HamiltonianConfig(s=args.s, kernel_radius=args.window, disorder=disorder)
     u0 = delta(0) if args.input is None else _read_sequence(args.input)
     sign = +1 if args.sign == "plus" else -1
-    step = args.snapshot_every
-    if step is not None and not math.isfinite(step):
-        raise ValueError(f"snapshot interval must be finite, got {step!r}")
-    if step is None or args.t == 0.0:  # evolve validates dt even at t = 0
+    if args.snapshot_every is None:
         result = evolve(u0, config, args.t, args.dt, sign=sign)
     else:
         if args.out == "-":
             raise ValueError("snapshots require --out to be a file path")
-        if step < args.dt:
-            raise ValueError("snapshot interval must be at least dt")
-        if not math.isfinite(args.t):  # the snapshot loop below would never end
-            raise ValueError(f"t_end must be non-negative and finite, got {args.t!r}")
-        state, t = u0, 0.0
-        while t + step < args.t * (1.0 - 1e-12):
-            state = evolve(state, config, step, args.dt, sign=sign)
-            t += step
-            snap = argparse.Namespace(**{**vars(args), "out": f"{args.out}.t{t:g}.csv"})
-            _write_csv(snap, {"snapshot_t": t}, "n,value", _sequence_rows(state), t0)
-        result = evolve(state, config, args.t - t, min(args.dt, args.t - t), sign=sign)
+        for t, result in trajectory(u0, config, args.t, args.dt, sign, args.snapshot_every):
+            if t < args.t:  # a checkpoint; the last pair is the final state
+                snap = argparse.Namespace(**{**vars(args), "out": _snapshot_path(args.out, t)})
+                _write_csv(snap, {"snapshot_t": t}, "n,value", _sequence_rows(result), t0)
     results = {"trunc_bound": result.trunc_bound, "mass": sum(result.values)}
     _write_csv(args, results, "n,value", _sequence_rows(result), t0)
     print(f"norm = {norm(result)!r}")

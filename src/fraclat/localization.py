@@ -17,8 +17,9 @@ outside; the mass clipped at the boundary is reported through the result's
 
 from __future__ import annotations
 
+import itertools
 import math
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,6 +39,7 @@ __all__ = [
     "OrbitBasis",
     "orbit_basis",
     "krylov_residual",
+    "trajectory",
     "evolve",
     "EnsembleReport",
     "monte_carlo",
@@ -273,20 +275,26 @@ def krylov_residual(v: Sequence, basis: OrbitBasis) -> float:
 # ---------------------------------------------------------------------------
 
 
-def evolve(
+def trajectory(
     u0: Sequence,
     config: HamiltonianConfig,
     t_end: float,
     dt: float,
     sign: int = +1,
-) -> Sequence:
-    """Integrate u' = sign * H u by classical fixed-step RK4.
+    every: float | None = None,
+) -> Iterator[tuple[float, Sequence]]:
+    """Integrate u' = sign * H u by classical fixed-step RK4, yielding
+    ``(t, state)`` at every checkpoint and last at ``t_end``.
 
     ``sign=+1`` follows the evolution equation literally; ``sign=-1`` gives
     the diffusive direction u' = -(-Lap)^s u - V u.  The step must satisfy
     the explicit-scheme heuristic dt <= 0.5 / (A_s + c/2); the number of
-    steps is round(t_end / dt) and the step is snapped to t_end / steps so
-    the integration lands on t_end exactly.
+    steps is round(t_end / dt) and the step is snapped to h = t_end / steps
+    so the integration lands on t_end exactly.  Checkpoint j = 1, 2, ... is
+    step k = round(j * every / h), at time t_end * k / steps, for each
+    distinct 0 < k < steps; ``every`` must be finite and at least dt.
+    Checkpoints leave the run unchanged, and all checks run before the
+    first pair is yielded.
 
     The right-hand side is the window restriction of H with every lag
     reachable inside [-W, W], i.e. the same sums ``apply_hamiltonian``
@@ -299,20 +307,24 @@ def evolve(
     the run takes at least as many steps as the window has sites, P is built
     once (8 (2W+1)^2 bytes, 1.2 MB at W = 192) and each step is one
     matrix-vector product; otherwise each step evaluates the four stages by
-    convolution.  Both routes agree to rounding, and both report the
-    same ``trunc_bound``: the largest stage value clipped at the window edge
-    over the run, times t_end.
+    convolution.  Both routes agree to rounding, and both report as
+    ``trunc_bound`` the largest stage value clipped at the window edge so
+    far, times the state's time.
     """
-    t_end = float(t_end)
-    dt = float(dt)
+    t_end, dt = float(t_end), float(dt)
     if not (math.isfinite(dt) and dt > 0.0):
         raise ValueError(f"dt must be positive and finite, got {dt!r}")
     if not (math.isfinite(t_end) and t_end >= 0.0):
         raise ValueError(f"t_end must be non-negative and finite, got {t_end!r}")
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
+    if every is not None and not math.isfinite(every):
+        raise ValueError(f"snapshot interval must be finite, got {every!r}")
+    if every is not None and every < dt:
+        raise ValueError("snapshot interval must be at least dt")
     if t_end == 0.0:
-        return u0
+        yield t_end, u0
+        return
     if t_end < dt:
         raise ValueError("t_end must be at least dt")
     a_s = kernel_sum(config.s)
@@ -324,55 +336,77 @@ def evolve(
     if len(u0) and (u0.offset < -w or u0.end - 1 > w):
         raise SupportOverflowError("initial state exceeds the window")
     steps = max(1, round(t_end / dt))
-    h = sign * (t_end / steps)  # negation is exact: same values as sign * H u
+    grid = t_end / steps
+    # the checkpoint steps in order, each once (with every >= dt all are positive)
+    ks = (round(j * every / grid) for j in itertools.count(1)) if every else iter(())
+    marks = (k for k, _ in itertools.groupby(itertools.takewhile(lambda k: k < steps, ks)))
+    mark = next(marks, None)
 
     length = 2 * w + 1
     _, kern, spectrum = _convolution_kernel(float(config.s), 2 * w, length)
-    diag = a_s + config.disorder.potential
-    clipped = 0.0
-    y = u0.window(-w, w)
-    if length <= _STEP_MATRIX_MAX_SITES and steps >= length:  # P pays for itself
-        # row i of pt is P e_i, so y @ pt is one RK4 step P y
-        pt = np.empty((length, length))
-        for i in range(0, length, _STEP_MATRIX_CHUNK):
-            rows = np.eye(min(_STEP_MATRIX_CHUNK, length - i), length, i)
-            pt[i : i + len(rows)] = _rk4_rows(rows, h, diag, kern, spectrum)[0]
-        states = np.empty((_STEP_MATRIX_CHUNK, length))
-        for first in range(0, steps, _STEP_MATRIX_CHUNK):
-            m = min(_STEP_MATRIX_CHUNK, steps - first)
-            for j in range(m):
-                states[j] = y
-                y = y @ pt
-            # replay the chunk's steps only for the stage values they clip
-            clipped = max(clipped, _rk4_rows(states[:m], h, diag, kern, spectrum)[1])
-    else:
-        for _ in range(steps):
-            y, clip = _rk4_rows(y, h, diag, kern, spectrum)
-            clipped = max(clipped, clip)
-    # crude bound on the boundary intrusion: strongest clipped stage value
-    # integrated over the run
-    return Sequence(-w, y, trunc_bound=clipped * t_end)
+    # negation is exact: the step sign * grid gives the same values as sign * H u
+    rk4 = (sign * grid, a_s + config.disorder.potential, kern, spectrum)
+    route = _matrix_steps if length <= _STEP_MATRIX_MAX_SITES and steps >= length else _row_steps
+    y, clipped = u0.window(-w, w), 0.0
+    for k, (y, clip) in enumerate(route(y, steps, rk4), 1):
+        clipped = max(clipped, clip)
+        if k == mark:
+            t = t_end * k / steps
+            yield t, Sequence(-w, y, trunc_bound=clipped * t)
+            mark = next(marks, None)
+    # crude bound on the boundary intrusion: strongest clipped stage value times t
+    yield t_end, Sequence(-w, y, trunc_bound=clipped * t_end)
+
+
+def evolve(
+    u0: Sequence, config: HamiltonianConfig, t_end: float, dt: float, sign: int = +1
+) -> Sequence:
+    """The state at ``t_end``, the one pair :func:`trajectory` yields without checkpoints."""
+    return next(trajectory(u0, config, t_end, dt, sign))[1]
+
+
+def _row_steps(y: np.ndarray, steps: int, rk4: tuple) -> Iterator[tuple[np.ndarray, float]]:
+    """Each step's state and largest clipped stage value, by four convolutions."""
+    for _ in range(steps):
+        y, clip = _rk4_rows(y, *rk4)
+        yield y, float(clip)
+
+
+def _matrix_steps(y: np.ndarray, steps: int, rk4: tuple) -> Iterator[tuple[np.ndarray, float]]:
+    """The same pairs as ``_row_steps``, each state by one product with P."""
+    # row i of pt is P e_i, so y @ pt is one RK4 step P y
+    pt = np.empty((y.size, y.size))
+    for i in range(0, y.size, _STEP_MATRIX_CHUNK):
+        rows = np.eye(min(_STEP_MATRIX_CHUNK, y.size - i), y.size, i)
+        pt[i : i + len(rows)] = _rk4_rows(rows, *rk4)[0]
+    for first in range(0, steps, _STEP_MATRIX_CHUNK):
+        ys = [y]
+        for _ in range(min(_STEP_MATRIX_CHUNK, steps - first)):
+            ys.append(ys[-1] @ pt)
+        # replay the chunk's steps only for the stage values they clip
+        yield from zip(ys[1:], _rk4_rows(np.array(ys[:-1]), *rk4)[1].tolist())
+        y = ys[-1]
 
 
 def _rk4_rows(
     y: np.ndarray, h: float, diag: np.ndarray, kern: np.ndarray, spectrum: np.ndarray
-) -> tuple[np.ndarray, float]:
+) -> tuple[np.ndarray, np.ndarray]:
     """One classical RK4 step of u' = (diag I - Toeplitz(kern)) u, step h, for
     every row of ``y`` (a 1-D ``y`` is one row).
 
     ``kern`` holds the lags -r..r and ``spectrum`` is its ``fftconvolve``
-    transform at the window length of ``y``.  Returns the stepped rows and
-    the largest |value| any stage placed on the r sites beyond either end of
-    the window, which the zero extension drops.
+    transform at the window length of ``y``.  Returns the stepped rows and,
+    per row, the largest |value| any stage placed on the r sites beyond
+    either end of the window, which the zero extension drops.
     """
     n, r = y.shape[-1], kern.size // 2
-    clipped = 0.0
+    clipped = np.zeros(y.shape[:-1])
 
     def rhs(v: np.ndarray) -> np.ndarray:
         nonlocal clipped
         conv = _convolve(v, kern, spectrum)
-        edge = max(np.max(np.abs(conv[..., :r])), np.max(np.abs(conv[..., r + n :])))
-        clipped = max(clipped, float(edge))
+        edge = np.maximum(np.abs(conv[..., :r]).max(-1), np.abs(conv[..., r + n :]).max(-1))
+        clipped = np.maximum(clipped, edge)
         return diag * v - conv[..., r : r + n]
 
     k1 = rhs(y)

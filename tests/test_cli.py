@@ -20,6 +20,19 @@ def _data_rows(path):
         return [ln for ln in fh.read().splitlines() if ln and not ln.startswith("#")]
 
 
+def _run_python(args):
+    """Run a fresh interpreter with this package on its path."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fraclat.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=120
+    )
+
+
+def _run_cli(argv):
+    return _run_python(["-W", "default", "-m", "fraclat.cli", *argv])
+
+
 def _as_sequence(rows):
     pairs = [row.split(",") for row in rows[1:]]
     ns = [int(n) for n, _ in pairs]
@@ -193,7 +206,6 @@ def test_apply_parse_failure_exits_2(tmp_path):
     assert rc == 2
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_apply_quadrature_overflow_exits_1(tmp_path, capsys):
     # the two rules overflow to inf, so their drift is NaN, which no tolerance test passes
     big = tmp_path / "big.txt"
@@ -203,6 +215,18 @@ def test_apply_quadrature_overflow_exits_1(tmp_path, capsys):
     assert main(argv + ["--out", str(out)]) == 1
     assert "differ by nan" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_apply_quadrature_overflow_prints_one_message(tmp_path):
+    # numpy's overflow warnings stay silent; stderr holds the failure alone
+    big = tmp_path / "big.txt"
+    big.write_text(format_sequence(Sequence(0, np.array([1e308, -1e308, 1e308]))), encoding="utf-8")
+    argv = ["apply", "--s", "0.5", "--path", "quadrature", "--radius", "4", "--input", str(big)]
+    done = _run_cli(argv + ["--out", str(tmp_path / "q.csv")])
+    assert done.returncode == 1
+    assert done.stderr.splitlines() == [
+        "numerical failure: the 96- and 192-node rules differ by nan (limit 1e-6)"
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -493,53 +517,60 @@ def test_evolve_small_window(tmp_path):
     assert len(_data_rows(out)) == 1 + 33
 
 
+def _manifest_value(path, key):
+    with open(path, "r", encoding="utf-8") as fh:
+        return [ln for ln in fh.read().splitlines() if ln.startswith(f"# {key} = ")]
+
+
 def test_evolve_snapshots(tmp_path):
-    out = tmp_path / "e.csv"
-    rc = main(
-        [
-            "evolve",
-            "--s",
-            "1",
-            "--t",
-            "1",
-            "--dt",
-            "0.01",
-            "--sign",
-            "minus",
-            "--window",
-            "32",
-            "--snapshot-every",
-            "0.25",
-            "--out",
-            str(out),
-        ]
-    )
-    assert rc == 0
-    assert out.exists()
-    for t in ("0.25", "0.5", "0.75"):
-        assert (tmp_path / f"e.csv.t{t}.csv").exists()
-    # piecewise integration still lands on the same final state
-    direct = tmp_path / "direct.csv"
-    main(
-        [
-            "evolve",
-            "--s",
-            "1",
-            "--t",
-            "1",
-            "--dt",
-            "0.01",
-            "--sign",
-            "minus",
-            "--window",
-            "32",
-            "--out",
-            str(direct),
-        ]
-    )
-    a = _as_sequence(_data_rows(out))
-    b = _as_sequence(_data_rows(direct))
-    assert sup_dist(a, b) < 1e-12
+    argv = ["evolve", "--s", "1", "--t", "1", "--dt", "0.01", "--sign", "minus", "--window", "32"]
+    out, direct = tmp_path / "e.csv", tmp_path / "direct.csv"
+    assert main(argv + ["--snapshot-every", "0.25", "--out", str(out)]) == 0
+    assert main(argv + ["--out", str(direct)]) == 0
+    names = sorted(p.name for p in tmp_path.iterdir())
+    assert names == ["direct.csv", "e.csv", "e.csv.t0.25.csv", "e.csv.t0.5.csv", "e.csv.t0.75.csv"]
+    # one integration: snapshots leave the final rows and trunc_bound untouched
+    assert _data_rows(out) == _data_rows(direct)
+    assert _manifest_value(out, "trunc_bound") == _manifest_value(direct, "trunc_bound")
+
+
+def test_evolve_snapshot_interval_below_the_snapped_step(tmp_path):
+    # 0.5 / 0.12 rounds to 4 steps of h = 0.125 > every = 0.12, so checkpoint
+    # j sits on step round(j * 0.96): steps 1, 2, 3, each written once
+    argv = ["evolve", "--s", "0.5", "--t", "0.5", "--dt", "0.12", "--window", "16"]
+    out, direct = tmp_path / "e.csv", tmp_path / "direct.csv"
+    assert main(argv + ["--snapshot-every", "0.12", "--out", str(out)]) == 0
+    assert main(argv + ["--out", str(direct)]) == 0
+    snaps = sorted(p.name for p in tmp_path.iterdir() if p.name.startswith("e.csv.t"))
+    assert snaps == ["e.csv.t0.125.csv", "e.csv.t0.25.csv", "e.csv.t0.375.csv"]
+    for name, t in zip(snaps, (0.125, 0.25, 0.375)):
+        assert _manifest_value(tmp_path / name, "snapshot_t") == [f"# snapshot_t = {t!r}"]
+    assert _data_rows(out) == _data_rows(direct)
+
+
+def test_snapshot_names_tell_distinct_steps_apart():
+    assert [cli._snapshot_path("e.csv", t) for t in (0.2, 0.25, 0.5, 0.75)] == [
+        "e.csv.t0.2.csv", "e.csv.t0.25.csv", "e.csv.t0.5.csv", "e.csv.t0.75.csv"
+    ]  # fmt: skip
+    times = [10000.0 + k * 0.01 for k in range(1, 4)]
+    assert len({cli._snapshot_path("e.csv", t) for t in times}) == 3
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["apply", "--s", "0.5", "--path", "series", "--radius", "2"],
+        ["evolve", "--s", "0.5", "--t", "0.1", "--dt", "0.01", "--window", "8"],
+    ],
+    ids=["apply", "evolve"],
+)
+def test_non_finite_input_exits_2(tmp_path, capsys, argv):
+    bad = tmp_path / "inf.txt"
+    bad.write_text("offset 0\ninf\n", encoding="utf-8")
+    out = tmp_path / "x.csv"
+    assert main(argv + ["--input", str(bad), "--out", str(out)]) == 2
+    assert "non-finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -608,11 +639,7 @@ def test_manifest_reruns_to_the_same_rows(tmp_path, argv, suffixes):
 
 
 def test_cli_import_loads_no_scipy():
-    src = os.path.dirname(os.path.dirname(os.path.abspath(fraclat.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     code = "import sys, fraclat.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    done = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
-    )
+    done = _run_python(["-c", code])
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"

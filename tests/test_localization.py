@@ -28,6 +28,7 @@ from fraclat import (
     orbit_basis,
     sample_disorder,
     sup_dist,
+    trajectory,
 )
 from fraclat.localization import _KEY_SALT, _MASK64
 from fraclat.operators import _convolve
@@ -470,6 +471,30 @@ def test_evolve_validation():
         evolve(delta(0), cfg, 0.05, 0.1)
     with pytest.raises(ValueError):
         evolve(delta(0), cfg, 1.0, 0.1, sign=2)
+
+
+# 100 steps on 33 sites take the step matrix, on 129 sites the single rows;
+# started at the edge, every step clips
+@pytest.mark.parametrize("w", [16, 64])
+def test_trajectory_checkpoints_leave_the_run_unchanged(w):
+    cfg = HamiltonianConfig(s=0.5, kernel_radius=1, disorder=sample_disorder(1.0, 3, w))
+    pairs = list(trajectory(delta(w), cfg, 1.0, 0.01, sign=-1, every=0.3))
+    assert [t for t, _ in pairs] == [0.3, 0.6, 0.9, 1.0]  # steps 30, 60, 90 and the end
+    final = evolve(delta(w), cfg, 1.0, 0.01, sign=-1)
+    assert pairs[-1][1] == final and pairs[-1][1].trunc_bound == final.trunc_bound
+    for t, state in pairs[:-1]:
+        # a run that stops at the checkpoint takes the same steps up to rounding
+        alone = evolve(delta(w), cfg, t, 0.01, sign=-1)
+        assert sup_dist(state, alone) <= 1e-13 * np.max(np.abs(alone.values))
+        assert state.trunc_bound == pytest.approx(alone.trunc_bound, rel=1e-9)
+
+
+@pytest.mark.parametrize(
+    "every, match", [(math.nan, "finite"), (math.inf, "finite"), (0.05, "at least dt")]
+)
+def test_trajectory_checks_every_before_the_first_pair(every, match):
+    with pytest.raises(ValueError, match=match):
+        next(trajectory(delta(0), _config(), 0.0, 0.1, every=every))
 
 
 # ---------------------------------------------------------------------------

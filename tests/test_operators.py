@@ -24,7 +24,6 @@ from fraclat import (
     inner,
     kernel_extended,
     kernel_sum,
-    log_norm_estimate,
     norm,
     sup_dist,
 )
@@ -403,43 +402,3 @@ def test_oracle_raises_when_the_finest_rule_does_not_converge():
 def test_non_finite_order_rejected(path, s):
     with pytest.raises(ValueError, match="order must be positive and finite"):
         path(s)
-
-
-# ---------------------------------------------------------------------------
-# logarithmic norm of the window-restricted operator
-# ---------------------------------------------------------------------------
-
-
-def test_log_norm_closed_form():
-    # Dirichlet tridiagonal Toeplitz eigenvalues: -4 sin^2(pi j/(2(N+1)))
-    assert log_norm_estimate(2) == pytest.approx(-1.0, abs=1e-14)
-    for n in (5, 16, 40):
-        want = -4.0 * math.sin(math.pi / (2.0 * (n + 1))) ** 2
-        assert log_norm_estimate(n) == pytest.approx(want, rel=1e-14)
-
-
-def test_log_norm_power_iteration_agrees():
-    for n in (2, 5, 16, 40):
-        closed = log_norm_estimate(n)
-        power = log_norm_estimate(n, method="power")
-        assert abs(closed - power) < 1e-10
-
-
-def test_log_norm_matrix_oracle():
-    n = 16
-    mat = -2.0 * np.eye(n) + np.eye(n, k=1) + np.eye(n, k=-1)
-    top = float(np.linalg.eigvalsh(mat)[-1])
-    assert log_norm_estimate(n) == pytest.approx(top, rel=1e-12)
-
-
-def test_log_norm_strictly_negative_large_window():
-    val = log_norm_estimate(10**4)
-    assert val < 0.0
-    assert abs(val) < 1e-6
-
-
-def test_log_norm_validation():
-    with pytest.raises(ValueError):
-        log_norm_estimate(1)
-    with pytest.raises(ValueError):
-        log_norm_estimate(10, method="magic")
