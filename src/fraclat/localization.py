@@ -27,7 +27,7 @@ from numpy.random import Philox
 
 from .kernel import _check_order, _convolution_kernel, kernel_sum
 from .lattice import Sequence, delta, norm
-from .operators import OperatorSpec, _convolve, apply_fractional
+from .operators import _DIRECT_MAX, OperatorSpec, _convolve, _fft_size, apply_fractional
 
 __all__ = [
     "SupportOverflowError",
@@ -49,13 +49,12 @@ _MASK64 = (1 << 64) - 1
 _KEY_SALT = 0x9E3779B97F4A7C15  # tags this use of Philox; arbitrary fixed odd word
 
 # evolve's step-matrix route costs one batched RK4 step per window site to
-# build P and one per time step to replay the clipped stage values, and then
-# steps by one (2W+1)^2 gemv instead of four single-row convolutions.  CPU time
-# per evolve call, step matrix over single rows (s = 0.5, one thread, 2-vCPU
-# Xeon): with as many steps as sites 2.2-2.7x faster at W <= 64, 1.5x at
-# W = 128, 1.0x at W = 176 and 192, 0.9x at W = 224 and 256; at 1000 steps
-# 1.45x at W = 192, 0.94x at W = 320, 0.73x at W = 384.
-_STEP_MATRIX_MAX_SITES = 385  # W <= 192
+# build P, and then steps by one (2W+1)^2 gemv instead of four single-row
+# convolutions.  CPU time per evolve call, single rows over step matrix
+# (s = 0.5, one thread, 2-vCPU Xeon): with as many steps as sites 2.0-2.6x
+# at W = 128 and 192, 1.3-1.4x at W = 256, 0.85-1.0x at W = 320, 0.85x at
+# W = 384; at 2000 steps 2.2x at W = 256, 1.45x at W = 320, 0.96x at W = 384.
+_STEP_MATRIX_MAX_SITES = 513  # W <= 256
 # rows per batched RK4 step: at W = 128 a row costs 80, 73 and 84 us in
 # batches of 8, 16 and 32, against 261 us alone
 _STEP_MATRIX_CHUNK = 16
@@ -303,13 +302,18 @@ def trajectory(
     the window is used, ``config.kernel_radius`` does not affect the result.
 
     H is fixed, so every RK4 step is the same matrix P = sum_{j<=4} (hM)^j / j!
-    with M = sign * H.  When the window has at most 385 sites (W <= 192) and
+    with M = sign * H.  When the window has at most 513 sites (W <= 256) and
     the run takes at least as many steps as the window has sites, P is built
-    once (8 (2W+1)^2 bytes, 1.2 MB at W = 192) and each step is one
+    once (8 (2W+1)^2 bytes, 2.1 MB at W = 256) and each step is one
     matrix-vector product; otherwise each step evaluates the four stages by
-    convolution.  Both routes agree to rounding, and both report as
-    ``trunc_bound`` the largest stage value clipped at the window edge so
-    far, times the state's time.
+    convolution.  The routes agree to rounding.
+
+    ``trunc_bound`` is t times the largest, over the steps so far, of a
+    proven bound on the values that the step's four stages place beyond the
+    window, where the zero extension drops them: c . |y| for the state y the
+    step starts from, with the weights c of :func:`_clip_weights`.  Both
+    routes read it from the states alone.  As a bound on the state's error
+    against an unbounded lattice it is an estimate, not a proof.
     """
     t_end, dt = float(t_end), float(dt)
     if not (math.isfinite(dt) and dt > 0.0):
@@ -344,17 +348,18 @@ def trajectory(
 
     length = 2 * w + 1
     _, kern, spectrum = _convolution_kernel(float(config.s), 2 * w, length)
+    diag = a_s + config.disorder.potential
     # negation is exact: the step sign * grid gives the same values as sign * H u
-    rk4 = (sign * grid, a_s + config.disorder.potential, kern, spectrum)
+    rk4 = (sign * grid, diag, kern, spectrum)
+    weights = _clip_weights(grid, diag, kern)
     route = _matrix_steps if length <= _STEP_MATRIX_MAX_SITES and steps >= length else _row_steps
     y, clipped = u0.window(-w, w), 0.0
-    for k, (y, clip) in enumerate(route(y, steps, rk4), 1):
+    for k, (y, clip) in enumerate(route(y, steps, rk4, weights), 1):
         clipped = max(clipped, clip)
         if k == mark:
             t = t_end * k / steps
             yield t, Sequence(-w, y, trunc_bound=clipped * t)
             mark = next(marks, None)
-    # crude bound on the boundary intrusion: strongest clipped stage value times t
     yield t_end, Sequence(-w, y, trunc_bound=clipped * t_end)
 
 
@@ -365,55 +370,87 @@ def evolve(
     return next(trajectory(u0, config, t_end, dt, sign))[1]
 
 
-def _row_steps(y: np.ndarray, steps: int, rk4: tuple) -> Iterator[tuple[np.ndarray, float]]:
-    """Each step's state and largest clipped stage value, by four convolutions."""
+def _clip_weights(h: float, diag: np.ndarray, kern: np.ndarray) -> np.ndarray:
+    """Weights c such that c . |y| bounds every value that the four stages of
+    one RK4 step from ``y`` place beyond the window (see :func:`_rk4_rows`).
+
+    A stage v clips at most w . |v|, where w_i is the largest |K_s| over the
+    lags from site i to the sites beyond the window that ``kern`` reaches.
+    The stages are S y with S = I, I + (h/2)M, I + (h/2)M + (h^2/4)M^2 and
+    I + hM + (h^2/2)M^2 + (h^3/4)M^3, for M = diag I - Toeplitz(kern).  So
+    |S| <= I + |h||M| + (h^2/2)|M|^2 + (|h|^3/4)|M|^3 entrywise, and as |M| is
+    symmetric, c = w + |h||M|(w + (|h|/2)|M|(w + (|h|/2)|M|w)) will do.
+    """
+    n, r = diag.size, kern.size // 2
+    mag = np.abs(kern)
+    # tail[d] = max |K_s| over the lags d..r, and 0 past r; site i reaches the
+    # lags W + 1 - |i| and up beyond the window
+    tail = np.append(np.maximum.accumulate(mag[r:][::-1])[::-1], 0.0)
+    w = tail[np.minimum(n // 2 + 1 - np.abs(np.arange(n) - n // 2), r + 1)]
+    eps = np.finfo(float).eps
+    # an FFT of length N sums |K_s| * c with an error below tau (|c|_1 |K_s|_2 +
+    # 3 |K_s|_1 |c|_2) in each entry, for tau = 16 log2(N) eps: Higham, Accuracy
+    # and Stability of Numerical Algorithms, Thm 24.2, gives about 7 log2(N) eps
+    # a radix-2 transform.  A direct sum needs no slack.
+    tau = 16 * math.log2(_fft_size(n, mag.size)) * eps if min(n, mag.size) > _DIRECT_MAX else 0.0
+    k1, k2 = mag.sum(), math.sqrt(mag @ mag)
+    c = w
+    for step in (0.5 * abs(h), 0.5 * abs(h), abs(h)):
+        slack = tau * (c.sum() * k2 + 3 * k1 * math.sqrt(c @ c))
+        c = w + step * (np.abs(diag) * c + _convolve(c, mag)[r : r + n] + slack)
+    # rounding takes less than 16 n eps off these sums of non-negative terms
+    # and off each c . |y|
+    return c * (1.0 + 16 * n * eps)
+
+
+def _row_steps(
+    y: np.ndarray, steps: int, rk4: tuple, weights: np.ndarray
+) -> Iterator[tuple[np.ndarray, float]]:
+    """Each step's state and the bound ``weights . |y|`` on the values its
+    stages clip, with y the state it starts from; four convolutions a step."""
     for _ in range(steps):
-        y, clip = _rk4_rows(y, *rk4)
-        yield y, float(clip)
+        clip = float(np.abs(y) @ weights)
+        y = _rk4_rows(y, *rk4)
+        yield y, clip
 
 
-def _matrix_steps(y: np.ndarray, steps: int, rk4: tuple) -> Iterator[tuple[np.ndarray, float]]:
+def _matrix_steps(
+    y: np.ndarray, steps: int, rk4: tuple, weights: np.ndarray
+) -> Iterator[tuple[np.ndarray, float]]:
     """The same pairs as ``_row_steps``, each state by one product with P."""
     # row i of pt is P e_i, so y @ pt is one RK4 step P y
     pt = np.empty((y.size, y.size))
     for i in range(0, y.size, _STEP_MATRIX_CHUNK):
         rows = np.eye(min(_STEP_MATRIX_CHUNK, y.size - i), y.size, i)
-        pt[i : i + len(rows)] = _rk4_rows(rows, *rk4)[0]
+        pt[i : i + len(rows)] = _rk4_rows(rows, *rk4)
     for first in range(0, steps, _STEP_MATRIX_CHUNK):
         ys = [y]
         for _ in range(min(_STEP_MATRIX_CHUNK, steps - first)):
             ys.append(ys[-1] @ pt)
-        # replay the chunk's steps only for the stage values they clip
-        yield from zip(ys[1:], _rk4_rows(np.array(ys[:-1]), *rk4)[1].tolist())
+        yield from zip(ys[1:], (np.abs(ys[:-1]) @ weights).tolist())
         y = ys[-1]
 
 
 def _rk4_rows(
     y: np.ndarray, h: float, diag: np.ndarray, kern: np.ndarray, spectrum: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """One classical RK4 step of u' = (diag I - Toeplitz(kern)) u, step h, for
     every row of ``y`` (a 1-D ``y`` is one row).
 
     ``kern`` holds the lags -r..r and ``spectrum`` is its ``fftconvolve``
-    transform at the window length of ``y``.  Returns the stepped rows and,
-    per row, the largest |value| any stage placed on the r sites beyond
-    either end of the window, which the zero extension drops.
+    transform at the window length of ``y``.  Whatever a stage places on the
+    r sites beyond either end of the window, the zero extension drops.
     """
     n, r = y.shape[-1], kern.size // 2
-    clipped = np.zeros(y.shape[:-1])
 
     def rhs(v: np.ndarray) -> np.ndarray:
-        nonlocal clipped
-        conv = _convolve(v, kern, spectrum)
-        edge = np.maximum(np.abs(conv[..., :r]).max(-1), np.abs(conv[..., r + n :]).max(-1))
-        clipped = np.maximum(clipped, edge)
-        return diag * v - conv[..., r : r + n]
+        return diag * v - _convolve(v, kern, spectrum)[..., r : r + n]
 
     k1 = rhs(y)
     k2 = rhs(y + 0.5 * h * k1)
     k3 = rhs(y + 0.5 * h * k2)
     k4 = rhs(y + h * k3)
-    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), clipped
+    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 # ---------------------------------------------------------------------------
@@ -471,6 +508,9 @@ def monte_carlo(
     depth = int(depth)
     if depth < 1:
         raise ValueError("depth must be a positive integer")
+    dim = 2 * window_radius + 1
+    if depth > dim:
+        raise ValueError(f"depth {depth} exceeds the {dim} basis vectors the window holds")
     probes = list(probes)
     for pid, probe in probes:
         if abs(norm(probe) - 1.0) > 1e-10:

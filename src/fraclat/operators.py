@@ -53,6 +53,8 @@ __all__ = [
 PATHS = ("series", "binomial", "quadrature", "composed")
 
 _ZERO = Sequence(0, np.zeros(0))
+# ``_convolve`` sums directly when either operand is at most this long
+_DIRECT_MAX = 64
 
 
 class BudgetExceededError(RuntimeError):
@@ -148,7 +150,7 @@ def _convolve(
 ) -> np.ndarray:
     """Full convolution of ``b`` with ``a`` or every row of ``a``; FFT-based
     (``fftconvolve``, which takes ``b_spectrum``) when both operands are long."""
-    if min(a.shape[-1], b.size) > 64:
+    if min(a.shape[-1], b.size) > _DIRECT_MAX:
         return fftconvolve(a, b, b_spectrum)
     if a.ndim == 1:
         return np.convolve(a, b)

@@ -386,6 +386,18 @@ def test_localize_kernel_radius_below_table_minimum_exits_2(tmp_path, capsys):
     assert "radius 1 too small" in capsys.readouterr().err
 
 
+def test_localize_depth_beyond_window_exits_2(tmp_path, capsys):
+    # a window of radius 16 holds at most 33 orthonormal directions
+    out = tmp_path / "x.csv"
+    rc = main(
+        ["localize", "--s", "0.5", "--c", "1", "--seeds", "1", "--window", "16"]
+        + ["--kernel-radius", "4", "--depth", "34", "--out", str(out)]
+    )
+    assert rc == 2
+    assert not out.exists()
+    assert "depth 34 exceeds the 33 basis vectors" in capsys.readouterr().err
+
+
 # the ids match those of the earlier (flag, environment variable) cases
 @pytest.mark.parametrize("flag", ["0", "-3"], ids=["0-None", "-3-None"])
 def test_localize_bad_worker_count_exits_2(tmp_path, capsys, flag):

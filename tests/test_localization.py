@@ -423,13 +423,17 @@ def _rk4_reference(u0, config, t_end, dt, sign):
     return y, clip_activity * t_end
 
 
-# dt = 0.01: (24, 1) and (128, 3) take the step matrix, (192, 3.85) at its
-# size and step limits; (128, 1) has too few steps and (300, 6.1) too many
-# sites.  Started at the edge, the clipped value peaks in the first step.
+# dt = 0.01: (24, 1), (128, 3) and (192, 3.85) take the step matrix, (256,
+# 5.13) at its size and step limits; (128, 1) has too few steps and (300,
+# 6.1) too many sites.  Started at the edge, the clipped value peaks in the
+# first step.
 @pytest.mark.parametrize(
     "w, t, start",
-    [(24, 1.0, 0), (24, 1.0, 24), (128, 3.0, 0), (192, 3.85, 0), (128, 1.0, 0), (300, 6.1, 0)],
-)
+    [
+        (24, 1.0, 0), (24, 1.0, 24), (128, 3.0, 0), (192, 3.85, 0), (256, 5.13, 0),
+        (128, 1.0, 0), (300, 6.1, 0),
+    ],
+)  # fmt: skip
 @pytest.mark.parametrize("sign", [-1, +1])
 @pytest.mark.parametrize("s", [0.5, 1.0, 2.5])
 def test_evolve_matches_rk4_reference(s, sign, w, t, start):
@@ -438,10 +442,43 @@ def test_evolve_matches_rk4_reference(s, sign, w, t, start):
     want, want_bound = _rk4_reference(delta(start), cfg, t, 0.01, sign)
     peak = np.max(np.abs(want))
     assert np.max(np.abs(got.window(-w, w) - want)) <= 1e-12 * peak
-    # where the clipped stage values sink below the convolution's round-off,
-    # about eps * A_s * |u|, both sides report that round-off instead
+    # trunc_bound bounds the clipped stage values that the reference measures;
+    # where they sink below the convolution's round-off, about eps * A_s * |u|,
+    # the reference measures that round-off instead
     floor = 1e-14 * t * kernel_sum(s) * max(1.0, peak)
-    assert abs(got.trunc_bound - want_bound) <= 1e-12 * want_bound + floor
+    assert got.trunc_bound >= want_bound * (1.0 - 1e-12) - floor
+
+
+# each case has at least as many steps as sites, so either route may take it
+@pytest.mark.parametrize("w, t", [(32, 3.0), (48, 5.0), (96, 8.0), (192, 4.0)])
+@pytest.mark.parametrize("sign", [-1, +1])
+@pytest.mark.parametrize("s", [0.5, 2.5])
+def test_evolve_routes_report_the_same_trunc_bound(s, sign, w, t, monkeypatch):
+    cfg = HamiltonianConfig(s=s, kernel_radius=1, disorder=sample_disorder(1.0, 3, w))
+    want, want_bound = _rk4_reference(delta(0), cfg, t, 0.01, sign)
+    peak = np.max(np.abs(want))
+    floor = 1e-14 * t * kernel_sum(s) * max(1.0, peak)
+    got = []
+    for limit in (0, 2 * w + 1):  # single rows, then the step matrix
+        monkeypatch.setattr("fraclat.localization._STEP_MATRIX_MAX_SITES", limit)
+        got.append(evolve(delta(0), cfg, t, 0.01, sign=sign))
+        assert np.max(np.abs(got[-1].window(-w, w) - want)) <= 1e-12 * peak
+        assert got[-1].trunc_bound >= want_bound * (1.0 - 1e-12) - floor
+    assert got[1].trunc_bound == pytest.approx(got[0].trunc_bound, rel=1e-3)
+
+
+# trunc_bound estimates the error of the window, and this guards that
+# estimate against regression; it proves nothing
+@pytest.mark.parametrize("w, t, start", [(24, 1.0, 0), (24, 1.0, 20), (64, 2.0, 0), (32, 3.0, 16)])
+@pytest.mark.parametrize("sign", [-1, +1])
+@pytest.mark.parametrize("s", [0.25, 0.5, 1.7, 2.5])
+def test_evolve_trunc_bound_covers_a_four_times_wider_window(s, sign, w, t, start):
+    def run(radius):
+        cfg = HamiltonianConfig(s=s, kernel_radius=1, disorder=sample_disorder(1.0, 3, radius))
+        return evolve(delta(start), cfg, t, 0.01, sign=sign)
+
+    narrow, wide = run(w), run(4 * w)
+    assert np.max(np.abs(narrow.window(-w, w) - wide.window(-w, w))) <= narrow.trunc_bound
 
 
 def test_evolve_matches_column_matrix_at_integer_order():
@@ -549,6 +586,13 @@ def test_monte_carlo_single_seed_matches_direct_orbit():
     for seed, pid, depth, residual in rep.rows:
         want = krylov_residual(delta(1), basis.prefix(depth))
         assert residual == pytest.approx(want, abs=1e-12)
+
+
+def test_monte_carlo_depth_at_most_the_window_dimension():
+    probes = [("d", delta(0))]
+    assert len(monte_carlo(0.5, 1.0, 4, 2, [1], 9, probes).rows) == 9
+    with pytest.raises(ValueError, match="depth 10 exceeds the 9 basis vectors"):
+        monte_carlo(0.5, 1.0, 4, 2, [1], 10, probes)
 
 
 def test_monte_carlo_rejects_empty_seed_list():
