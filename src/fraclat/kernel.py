@@ -258,7 +258,7 @@ class KernelTable:
 
 
 # the package's kernel caches: tables here, and in _convolution_kernel the
-# mirrored rows and spectra that the convolutions use (at any radius: evolve's
+# mirrored rows or spectra that the convolutions use (at any radius: evolve's
 # 2W may be below build_table's minimum)
 @lru_cache(maxsize=128)
 def build_table(s: float, radius: int) -> KernelTable:
@@ -293,23 +293,32 @@ def build_table(s: float, radius: int) -> KernelTable:
 
 
 @lru_cache(maxsize=128)
-def _convolution_kernel(s: float, half: int, n: int) -> tuple[int, np.ndarray, np.ndarray]:
+def _convolution_kernel(
+    s: float, half: int, n: int
+) -> tuple[int, np.ndarray | None, np.ndarray | None]:
     """(r, K_s on lags -r..r, its ``fftconvolve`` spectrum for n-point inputs).
 
     r is the last lag <= ``half`` where K_s is nonzero.  Callers that convolve
     many inputs of one length share the result read-only, so the kernel row,
     its nonzero scan and its transform are computed once per (s, half, n).
-    The row is not kept on its own: it is the second half of the kernel.
+    An entry holds only what its callers read, and None in place of the
+    rest: the spectrum where ``_convolve`` takes the FFT, the kernel where it
+    sums directly or where ``evolve``'s clip bound reads it (half < n: every
+    lag stays inside the n sites).  Elsewhere ``fftconvolve`` needs only the
+    kernel's length 2r + 1.  A one-point input has half = R, so its row is
+    the table that ``apply_fractional`` has already built.
     """
-    from .operators import _fft_size  # operators imports this module
+    from .operators import _DIRECT_MAX, _fft_size  # operators imports this module
 
-    row = kernel_row(s, half)
+    row = build_table(s, half).values if n == 1 else kernel_row(s, half)
     r = int(np.flatnonzero(row)[-1])  # K_s(1) > 0 for every valid order, so r >= 1
     kern = np.concatenate([row[r:0:-1], row[: r + 1]])
-    spectrum = np.fft.rfft(kern, _fft_size(n, kern.size))
     kern.setflags(write=False)
+    if min(n, kern.size) <= _DIRECT_MAX:
+        return r, kern, None
+    spectrum = np.fft.rfft(kern, _fft_size(n, kern.size))
     spectrum.setflags(write=False)
-    return r, kern, spectrum
+    return r, (kern if half < n else None), spectrum
 
 
 def decay_certificate(s: float, k_max: int) -> float:

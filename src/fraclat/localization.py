@@ -26,7 +26,7 @@ import numpy as np
 from numpy.random import Philox
 
 from .kernel import _check_order, _convolution_kernel, kernel_sum
-from .lattice import Sequence, delta, norm
+from .lattice import Sequence, norm
 from .operators import _DIRECT_MAX, OperatorSpec, _convolve, _fft_size, apply_fractional
 
 __all__ = [
@@ -168,14 +168,19 @@ def apply_hamiltonian(u: Sequence, config: HamiltonianConfig) -> Sequence:
     if len(u) == 0:
         return u
     frac = apply_fractional(u, OperatorSpec(config.s, r, "series"))
-    # the series output lies in [-W-R, W+R]; the R sites at either end are dropped
-    full = frac.window(-w - r, w + r)
-    clip_mass = float(max(np.max(np.abs(full[:r])), np.max(np.abs(full[-r:]))))
-    out = full[r:-r]
-    pot = config.disorder.potential
-    i0 = u.offset + w
-    out[i0 : i0 + len(u)] += pot[i0 : i0 + len(u)] * u.values
-    return Sequence(-w, out, trunc_bound=frac.trunc_bound + clip_mass)
+    # the series output lies in [-W-R, W+R]; its sites [i, j) lie inside the
+    # window, and the values beyond are dropped
+    i = max(frac.offset, -w)
+    j = max(min(frac.end, w + 1), i)
+    vals = frac.values
+    edges = (vals[: i - frac.offset], vals[j - frac.offset :])
+    clip_mass = float(max(np.max(np.abs(e), initial=0.0) for e in edges))
+    lo, hi = min(i, u.offset), max(j, u.end)
+    out = np.zeros(hi - lo)
+    out[i - lo : j - lo] = vals[i - frac.offset : j - frac.offset]
+    pot = config.disorder.potential[u.offset + w : u.end + w]
+    out[u.offset - lo : u.end - lo] += pot * u.values
+    return Sequence(lo, out, trunc_bound=frac.trunc_bound + clip_mass)
 
 
 @dataclass(frozen=True)
@@ -210,7 +215,11 @@ def orbit_basis(
 
     Each new direction is H applied to the most recent orthonormal vector,
     orthogonalized against the basis so far by classical Gram-Schmidt run
-    twice (CGS2): two blocked projections b -= Q^T (Q b).  A single pass
+    twice (CGS2): two blocked projections b -= Q^T (Q b).  The orbit grows
+    by at most R sites a side per step, so its support envelope (the union
+    of the supports so far, [-kR, kR] at step k) is usually far narrower
+    than the window; every basis vector is zero outside it, and the norms,
+    both projections and H itself run on the envelope only.  A single pass
     loses orthogonality in floating point; the second restores it to
     working precision ("twice is enough", Giraud, Langou & Rozloznik 2005).
     (Orthonormalizing the raw power iterates H^k delta_0 spans the same
@@ -228,20 +237,24 @@ def orbit_basis(
     w = config.window_radius
     q = np.zeros((min(depth, 2 * w + 1), 2 * w + 1))  # at most dim-many directions
     raw_norms: list[float] = []
-    dense = delta(0).window(-w, w)
+    lo, hi = w, w + 1  # the envelope: the columns of q the orbit has reached
+    iterate = np.ones(1)  # delta_0 on the envelope
     for k in range(len(q)):
         if k:
-            dense = apply_hamiltonian(Sequence(-w, q[k - 1]), config).window(-w, w)
-        raw = float(np.linalg.norm(dense))
+            hb = apply_hamiltonian(Sequence(lo - w, q[k - 1, lo:hi]), config)
+            lo, hi = min(lo, hb.offset + w), max(hi, hb.end + w)
+            iterate = hb.window(lo - w, hi - 1 - w)
+        raw = float(np.linalg.norm(iterate))
         if raw == 0.0:
             break
-        b = dense - q[:k].T @ (q[:k] @ dense)
-        b -= q[:k].T @ (q[:k] @ b)
+        qk = q[:k, lo:hi]
+        b = iterate - qk.T @ (qk @ iterate)
+        b -= qk.T @ (qk @ b)
         r = float(np.linalg.norm(b))
         if r < residual_tol * raw:
             break
         raw_norms.append(raw)
-        q[k] = b / r
+        q[k, lo:hi] = b / r
     vectors = [Sequence(-w, b) for b in q[: len(raw_norms)]]
     return OrbitBasis(vectors=vectors, raw_norms=raw_norms, residual_tol=residual_tol)
 
@@ -432,14 +445,15 @@ def _matrix_steps(
 
 
 def _rk4_rows(
-    y: np.ndarray, h: float, diag: np.ndarray, kern: np.ndarray, spectrum: np.ndarray
+    y: np.ndarray, h: float, diag: np.ndarray, kern: np.ndarray, spectrum: np.ndarray | None
 ) -> np.ndarray:
     """One classical RK4 step of u' = (diag I - Toeplitz(kern)) u, step h, for
     every row of ``y`` (a 1-D ``y`` is one row).
 
     ``kern`` holds the lags -r..r and ``spectrum`` is its ``fftconvolve``
-    transform at the window length of ``y``.  Whatever a stage places on the
-    r sites beyond either end of the window, the zero extension drops.
+    transform at the window length of ``y`` (None where ``_convolve`` sums
+    directly).  Whatever a stage places on the r sites beyond either end of
+    the window, the zero extension drops.
     """
     n, r = y.shape[-1], kern.size // 2
 

@@ -105,7 +105,7 @@ class OperatorSpec:
 
 
 def fftconvolve(
-    a: np.ndarray, b: np.ndarray, b_spectrum: np.ndarray | None = None
+    a: np.ndarray, b: np.ndarray | int, b_spectrum: np.ndarray | None = None
 ) -> np.ndarray:
     """Full convolution of the real 1-D ``b`` with ``a`` (or with every row of
     a 2-D ``a``) by a real FFT along the last axis.
@@ -114,15 +114,18 @@ def fftconvolve(
     length (2^a 3^b 5^c) that holds the whole linear convolution, so nothing
     wraps around.  ``b_spectrum``, if given, is
     ``np.fft.rfft(b, _fft_size(a.shape[-1], b.size))``, precomputed by a caller
-    that convolves many inputs of one length with ``b``.
+    that convolves many inputs of one length with ``b``; ``b`` may then be
+    given by its length alone.
     """
-    n = a.shape[-1] + b.size - 1
-    size = _fft_size(a.shape[-1], b.size)
+    nb = b if isinstance(b, int) else b.size
+    n = a.shape[-1] + nb - 1
+    size = _fft_size(a.shape[-1], nb)
     if b_spectrum is None:
         b_spectrum = np.fft.rfft(b, size)
     return np.fft.irfft(np.fft.rfft(a, size) * b_spectrum, size)[..., :n]
 
 
+@lru_cache(maxsize=128)
 def _fft_size(na: int, nb: int) -> int:
     """Smallest 5-smooth integer >= na + nb - 1, the length ``fftconvolve``
     pads inputs of lengths na and nb to.
@@ -213,7 +216,11 @@ def apply_fractional(u: Sequence, spec: OperatorSpec) -> Sequence:
         )
     length = len(u)
     kern_half, kern, spectrum = _kernel._convolution_kernel(s, radius + length - 1, length)
-    conv = _convolve(u.values, kern, spectrum)  # window [offset - kern_half, end-1 + kern_half]
+    # window [offset - kern_half, end-1 + kern_half]; the FFT entry keeps no kernel
+    if spectrum is None:
+        conv = _convolve(u.values, kern)
+    else:
+        conv = fftconvolve(u.values, 2 * kern_half + 1, spectrum)
     r_out = min(radius, kern_half)
     lo = kern_half - r_out
     out = -conv[lo : lo + length + 2 * r_out]
