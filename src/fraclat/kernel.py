@@ -250,12 +250,6 @@ class KernelTable:
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
-    def value(self, k: int) -> float:
-        mu = abs(int(k))
-        if mu > self.radius:
-            raise IndexError(f"lag {k} outside table radius {self.radius}")
-        return float(self.values[mu])
-
 
 # the package's kernel caches: tables here, and in _convolution_kernel the
 # mirrored rows or spectra that the convolutions use (at any radius: evolve's

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -66,6 +66,14 @@ class SupportOverflowError(ValueError):
 
 class StabilityError(RuntimeError):
     """Explicit time step exceeds the stability bound 0.5 / (A_s + c/2)."""
+
+
+def _check_window(name: str, u: Sequence, w: int) -> None:
+    """Raise SupportOverflowError unless the support of ``u`` lies inside [-w, w]."""
+    if len(u) and (u.offset < -w or u.end - 1 > w):
+        raise SupportOverflowError(
+            f"{name} support [{u.offset}, {u.end - 1}] exceeds window [-{w}, {w}]"
+        )
 
 
 @dataclass(frozen=True)
@@ -161,10 +169,7 @@ def apply_hamiltonian(u: Sequence, config: HamiltonianConfig) -> Sequence:
     dropped, with the dropped magnitude added to the result's trunc_bound.
     """
     w, r = config.window_radius, config.kernel_radius
-    if len(u) and (u.offset < -w or u.end - 1 > w):
-        raise SupportOverflowError(
-            f"support [{u.offset}, {u.end - 1}] exceeds window [-{w}, {w}]"
-        )
+    _check_window("state", u, w)
     if len(u) == 0:
         return u
     frac = apply_fractional(u, OperatorSpec(config.s, r, "series"))
@@ -183,29 +188,31 @@ def apply_hamiltonian(u: Sequence, config: HamiltonianConfig) -> Sequence:
     return Sequence(lo, out, trunc_bound=frac.trunc_bound + clip_mass)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OrbitBasis:
     """Orthonormalized basis of span{H^k delta_0} with per-step iterate norms.
 
-    ``raw_norms[k]`` is the norm of the k-th orbit iterate before
-    orthonormalization (``raw_norms[0] = 1`` for delta_0, afterwards
-    ||H b_{k-1}|| with b_{k-1} the previous basis vector); vectors and
-    raw_norms have equal length.  Construction stops early when an iterate's
+    Row k of the read-only array ``q`` is basis vector k on the window
+    sites -W..W.  ``raw_norms[k]`` is the norm of the k-th orbit iterate
+    before orthonormalization (``raw_norms[0] = 1`` for delta_0, afterwards
+    ||H b_{k-1}|| with b_{k-1} the previous basis vector); q and raw_norms
+    have equal length.  :func:`orbit_basis` stops early when an iterate's
     component orthogonal to the current span falls below ``residual_tol``
     relative to the iterate's norm (numerical detection of an invariant
     subspace).
     """
 
-    vectors: list[Sequence]
+    q: np.ndarray
     raw_norms: list[float]
-    residual_tol: float
 
     def __len__(self) -> int:
-        return len(self.vectors)
+        return len(self.q)
 
-    def prefix(self, depth: int) -> "OrbitBasis":
-        d = min(int(depth), len(self.vectors))
-        return OrbitBasis(self.vectors[:d], self.raw_norms[:d], self.residual_tol)
+    @property
+    def vectors(self) -> list[Sequence]:
+        """The rows of ``q`` as Sequences."""
+        w = self.q.shape[1] // 2
+        return [Sequence(-w, b) for b in self.q]
 
 
 def orbit_basis(
@@ -255,31 +262,29 @@ def orbit_basis(
             break
         raw_norms.append(raw)
         q[k, lo:hi] = b / r
-    vectors = [Sequence(-w, b) for b in q[: len(raw_norms)]]
-    return OrbitBasis(vectors=vectors, raw_norms=raw_norms, residual_tol=residual_tol)
+    q = q[: len(raw_norms)]
+    q.setflags(write=False)
+    return OrbitBasis(q=q, raw_norms=raw_norms)
 
 
-def _span_residuals(q: Iterable[np.ndarray], v: np.ndarray) -> list[float]:
-    """||v - sum_{j<d} <v, q_j> q_j|| for d = 1, 2, ... over the dense rows q_j."""
-    resid = v.copy()
-    out = []
-    for qj in q:
-        resid -= np.dot(qj, v) * qj
-        out.append(float(np.linalg.norm(resid)))
-    return out
+def krylov_residual(v: Sequence, basis: OrbitBasis) -> list[float]:
+    """Distances ||v - sum_{j<d} <v, b_j> b_j|| from unit v to the span of the
+    first d basis vectors, for d = 1, ..., len(basis).
 
-
-def krylov_residual(v: Sequence, basis: OrbitBasis) -> float:
-    """Distance ||v - sum_j <v, b_j> b_j|| from unit v to the orbit span."""
+    The support of v must lie inside the basis's window [-W, W].
+    """
     nv = norm(v)
     if abs(nv - 1.0) > 1e-10:
         raise ValueError(f"probe must be unit norm, got ||v|| = {nv!r}")
-    if not basis.vectors:
-        return 1.0
-    lo = min(v.offset, min(b.offset for b in basis.vectors))
-    hi = max(v.end, max(b.end for b in basis.vectors)) - 1
-    dense = (b.window(lo, hi) for b in basis.vectors)
-    return _span_residuals(dense, v.window(lo, hi))[-1]
+    w = basis.q.shape[1] // 2
+    _check_window("probe", v, w)
+    dense = v.window(-w, w)
+    resid = dense.copy()
+    out = []
+    for qj in basis.q:
+        resid -= np.dot(qj, dense) * qj
+        out.append(float(np.linalg.norm(resid)))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -350,8 +355,7 @@ def trajectory(
         raise StabilityError(f"dt = {dt} exceeds stability bound {dt_max:.6g}")
 
     w = config.window_radius
-    if len(u0) and (u0.offset < -w or u0.end - 1 > w):
-        raise SupportOverflowError("initial state exceeds the window")
+    _check_window("initial state", u0, w)
     steps = max(1, round(t_end / dt))
     grid = t_end / steps
     # the checkpoint steps in order, each once (with every >= dt all are positive)
@@ -519,28 +523,27 @@ def monte_carlo(
     seeds = [int(x) for x in seeds]
     if not seeds:
         raise ValueError("seeds must name at least one seed, got an empty list")
+    probes = list(probes)
+    if not probes:
+        raise ValueError("probes must name at least one probe, got an empty list")
     depth = int(depth)
     if depth < 1:
         raise ValueError("depth must be a positive integer")
     dim = 2 * window_radius + 1
     if depth > dim:
         raise ValueError(f"depth {depth} exceeds the {dim} basis vectors the window holds")
-    probes = list(probes)
     for pid, probe in probes:
         if abs(norm(probe) - 1.0) > 1e-10:
             raise ValueError(f"probe {pid!r} is not unit norm")
-        if len(probe) and (probe.offset < -window_radius or probe.end - 1 > window_radius):
-            raise SupportOverflowError(f"probe {pid!r} exceeds the window")
+        _check_window(f"probe {pid!r}", probe, window_radius)
 
     def job(seed: int) -> list[tuple[int, str, int, float]]:
         disorder = sample_disorder(c, seed, window_radius)
         config = HamiltonianConfig(s=s, kernel_radius=kernel_radius, disorder=disorder)
         basis = orbit_basis(config, depth, residual_tol)
-        w = window_radius
-        dense = [b.window(-w, w) for b in basis.vectors]
         rows = []
         for pid, probe in probes:
-            res = _span_residuals(dense, probe.window(-w, w))
+            res = krylov_residual(probe, basis)
             res += res[-1:] * (depth - len(res))  # a basis that ended early
             rows.extend((seed, pid, d, r) for d, r in enumerate(res, 1))
         return rows

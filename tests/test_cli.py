@@ -343,6 +343,17 @@ def test_localize_bad_probe_exits_2(tmp_path):
     assert rc == 2
 
 
+def test_localize_empty_probe_list_exits_2(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    rc = main(
+        ["localize", "--s", "0.5", "--c", "1", "--seeds", "1..3", "--window", "64"]
+        + ["--depth", "4", "--probes", ",", "--out", str(out)]
+    )
+    assert rc == 2
+    assert not out.exists()
+    assert "probes must name at least one probe" in capsys.readouterr().err
+
+
 def test_localize_nan_amplitude_exits_2(tmp_path, capsys):
     out = tmp_path / "x.csv"
     rc = main(["localize", "--s", "0.5", "--c", "nan", "--seeds", "1", "--out", str(out)])

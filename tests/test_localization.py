@@ -31,7 +31,7 @@ from fraclat import (
     trajectory,
 )
 from fraclat import localization, operators
-from fraclat.localization import _KEY_SALT, _MASK64, _span_residuals
+from fraclat.localization import _KEY_SALT, _MASK64, OrbitBasis
 from fraclat.operators import _convolve
 from conftest import random_sequence
 
@@ -159,7 +159,7 @@ def test_hamiltonian_clips_and_reports():
 
 def test_hamiltonian_support_overflow():
     cfg = _config(window=8)
-    with pytest.raises(SupportOverflowError):
+    with pytest.raises(SupportOverflowError, match=r"support \[20, 20\] exceeds window \[-8, 8\]"):
         apply_hamiltonian(delta(20), cfg)
 
 
@@ -321,10 +321,10 @@ def test_orbit_matches_mgs_reference(window, seed):
     for probe in (ODD_PROBE, delta(3)):
         pd = probe.window(-window, window)
         resid = pd.copy()
+        res = krylov_residual(probe, basis)
         for d, q in enumerate(ref, 1):
             resid -= np.dot(q, pd) * q
-            got = krylov_residual(probe, basis.prefix(d))
-            assert abs(got - float(np.linalg.norm(resid))) <= 1e-12
+            assert abs(res[d - 1] - float(np.linalg.norm(resid))) <= 1e-12
 
 
 def _cgs2_full_width_orbit(config, depth, residual_tol=1e-12):
@@ -347,17 +347,17 @@ def _cgs2_full_width_orbit(config, depth, residual_tol=1e-12):
             break
         raw_norms.append(raw)
         q[k] = b / r
-    return [Sequence(-w, b) for b in q[: len(raw_norms)]], raw_norms
+    return OrbitBasis(q[: len(raw_norms)], raw_norms)
 
 
 @pytest.mark.parametrize("seed", range(1, 9))
 def test_orbit_is_bit_identical_to_full_width_where_the_first_product_fills_the_window(seed):
     cfg = _config(s=0.5, c=1.0, seed=seed, window=64, kernel_radius=64)
     basis = orbit_basis(cfg, 32)
-    ref, ref_norms = _cgs2_full_width_orbit(cfg, 32)
-    assert basis.raw_norms == ref_norms
+    ref = _cgs2_full_width_orbit(cfg, 32)
+    assert basis.raw_norms == ref.raw_norms
     assert len(basis) == len(ref) == 32
-    for got, want in zip(basis.vectors, ref):
+    for got, want in zip(basis.vectors, ref.vectors):
         assert got.offset == want.offset
         assert got.values.tobytes() == want.values.tobytes()
 
@@ -367,33 +367,32 @@ def test_orbit_on_the_envelope_matches_full_width_residuals(seed):
     w, r = 2048, 64
     cfg = _config(s=0.5, c=1.0, seed=seed, window=w, kernel_radius=r)
     basis = orbit_basis(cfg, 32)
-    ref, _ = _cgs2_full_width_orbit(cfg, 32)
+    ref = _cgs2_full_width_orbit(cfg, 32)
     assert len(basis) == len(ref) == 32
     for k, b in enumerate(basis.vectors):  # vector k spans at most H^k delta_0
         assert -k * r <= b.offset and b.end - 1 <= k * r
     for probe in (ODD_PROBE, delta(3)):
-        pd = probe.window(-w, w)
-        got = _span_residuals([b.window(-w, w) for b in basis.vectors], pd)
-        want = _span_residuals([b.window(-w, w) for b in ref], pd)
+        got = krylov_residual(probe, basis)
+        want = krylov_residual(probe, ref)
         assert np.max(np.abs(np.subtract(got, want))) <= 1e-12
 
 
 def test_krylov_residual_membership_and_parity():
     cfg = _config(s=1.0, c=0.0, window=48, kernel_radius=4)
     basis = orbit_basis(cfg, depth=6)
-    assert krylov_residual(basis.vectors[0], basis) <= 1e-10
+    assert len(basis) == 6
+    assert krylov_residual(basis.vectors[0], basis)[-1] <= 1e-10
     # odd probe vs an even span: distance stays exactly 1
+    res = krylov_residual(ODD_PROBE, basis)
     for depth in range(1, 7):
-        assert krylov_residual(ODD_PROBE, basis.prefix(depth)) == pytest.approx(
-            1.0, abs=1e-10
-        )
+        assert res[depth - 1] == pytest.approx(1.0, abs=1e-10)
 
 
 def test_krylov_residual_monotone_in_depth(rng):
     cfg = _config(s=0.5, c=1.0, seed=7, window=128, kernel_radius=32)
     basis = orbit_basis(cfg, depth=10)
-    probe = delta(2)
-    vals = [krylov_residual(probe, basis.prefix(d)) for d in range(1, 11)]
+    vals = krylov_residual(delta(2), basis)
+    assert len(vals) == 10
     for a, b in zip(vals, vals[1:]):
         assert b <= a + 1e-12
 
@@ -402,6 +401,13 @@ def test_krylov_residual_requires_unit_norm():
     basis = orbit_basis(_config(), depth=2)
     with pytest.raises(ValueError):
         krylov_residual(Sequence(0, np.array([2.0])), basis)
+
+
+def test_krylov_residual_rejects_a_probe_outside_the_window():
+    basis = orbit_basis(_config(window=16), depth=2)
+    assert krylov_residual(delta(16), basis) == [1.0, 1.0]  # no basis vector reaches 16
+    with pytest.raises(SupportOverflowError, match=r"probe support \[17, 17\] exceeds window"):
+        krylov_residual(delta(17), basis)
 
 
 # ---------------------------------------------------------------------------
@@ -653,20 +659,16 @@ def test_monte_carlo_zero_disorder_parity_column():
 
 
 def test_monte_carlo_single_seed_matches_direct_orbit():
-    cfg = _config(s=0.5, c=1.0, seed=7, window=96, kernel_radius=24)
-    basis = orbit_basis(cfg, depth=4)
-    rep = monte_carlo(
-        s=0.5,
-        c=1.0,
-        window_radius=96,
-        kernel_radius=24,
-        seeds=[7],
-        depth=4,
-        probes=[("delta:1", delta(1))],
-    )
-    for seed, pid, depth, residual in rep.rows:
-        want = krylov_residual(delta(1), basis.prefix(depth))
-        assert residual == pytest.approx(want, abs=1e-12)
+    # the second basis ends after 3 vectors (the even subspace of [-2, 2]),
+    # so its depths 4 and 5 repeat the depth-3 residual
+    for s, c, w, r, depth, length in ((0.5, 1.0, 96, 24, 4, 4), (1.0, 0.0, 2, 2, 5, 3)):
+        basis = orbit_basis(_config(s=s, c=c, seed=7, window=w, kernel_radius=r), depth)
+        assert len(basis) == length
+        want = krylov_residual(delta(1), basis)
+        rep = monte_carlo(s, c, w, r, [7], depth, [("delta:1", delta(1))])
+        assert [d for _, _, d, _ in rep.rows] == list(range(1, depth + 1))
+        for _, _, d, residual in rep.rows:
+            assert residual == want[min(d, length) - 1]
 
 
 def test_monte_carlo_reaches_the_traced_call_chain(monkeypatch):
@@ -714,6 +716,15 @@ def test_monte_carlo_depth_at_most_the_window_dimension():
 def test_monte_carlo_rejects_empty_seed_list():
     with pytest.raises(ValueError, match="empty"):
         monte_carlo(0.5, 1.0, 16, 4, [], 2, [("d", delta(0))])
+
+
+def test_monte_carlo_rejects_empty_probe_list_before_any_seed(monkeypatch):
+    def no_seed(*args):
+        raise AssertionError("a seed ran")
+
+    monkeypatch.setattr(localization, "sample_disorder", no_seed)
+    with pytest.raises(ValueError, match="probes must name at least one probe"):
+        monte_carlo(0.5, 1.0, 16, 4, [1, 2, 3], 2, [])
 
 
 def test_monte_carlo_rejects_bad_probe():
