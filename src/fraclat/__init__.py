@@ -50,7 +50,6 @@ from .operators import (
     OperatorSpec,
     QuadratureConvergenceError,
     apply,
-    apply_composed,
     apply_fractional,
     apply_integer_power,
     apply_quadrature_oracle,
@@ -110,7 +109,6 @@ __all__ = [
     "apply",
     "apply_integer_power",
     "apply_fractional",
-    "apply_composed",
     "heat_semigroup",
     "apply_quadrature_oracle",
     # localization

@@ -33,6 +33,7 @@ from .localization import (
     trajectory,
 )
 from .operators import (
+    PATHS,
     BudgetExceededError,
     OperatorSpec,
     QuadratureConvergenceError,
@@ -241,11 +242,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("apply", help="apply the operator to a sequence")
     p.add_argument("--s", type=float, required=True)
     p.add_argument("--radius", type=int, default=64)
-    p.add_argument(
-        "--path",
-        choices=("series", "binomial", "quadrature", "composed"),
-        default="series",
-    )
+    p.add_argument("--path", choices=PATHS, default="series")
     p.add_argument("--input", default=None, help="sequence file ('-' for stdin; default delta at 0)")
     p.add_argument("--budget", type=float, default=math.inf, help="truncation error budget")
     p.add_argument("--out", default="-")

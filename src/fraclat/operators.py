@@ -9,13 +9,14 @@ Three mutually cross-validating ways to apply the non-negative operator
   the production path for arbitrary s > 0,
 * ``apply_quadrature_oracle`` -- direct numerical integration of the
   semigroup representation
-      (1/Gamma(-sigma)) int_0^inf z^{-sigma-1} (S_z - I) (-Lap)^{floor(s)} u dz,
-  slow, used to check the series path.
+      (1/Gamma(-sigma)) int_0^inf z^{-sigma-1} (S_z - I) (-Lap)^{floor(s)} u dz
+  by nested Clenshaw-Curtis rules (Waldvogel, BIT 46, 2006; Trefethen,
+  SIAM Rev. 50, 2008), slow, used to check the series path.
 
 ``heat_semigroup`` evaluates S_z itself through scaled Bessel weights
 e^{-2z} I_{n-k}(2z).  Output windows are the input support dilated by the
-truncation radius; each result carries a certified bound on the discarded
-mass in its ``trunc_bound`` field.
+truncation radius; each result carries a bound on the discarded mass in its
+``trunc_bound`` field, certified except for the oracle's (see there).
 
 Convention: the zeroth power is the identity.  (An alternative convention
 mapping w to -w exists in the literature; it is incompatible with the
@@ -30,10 +31,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from . import kernel as _kernel
-from .kernel import NEAR_INTEGER_TOL, build_table
+from .kernel import build_table
 from .lattice import Sequence
 from .special import bessel_i_scaled_row, binomial, gamma
 
@@ -45,12 +45,11 @@ __all__ = [
     "apply",
     "apply_integer_power",
     "apply_fractional",
-    "apply_composed",
     "heat_semigroup",
     "apply_quadrature_oracle",
 ]
 
-PATHS = ("series", "binomial", "quadrature", "composed")
+PATHS = ("series", "binomial", "quadrature")
 
 _ZERO = Sequence(0, np.zeros(0))
 # ``_convolve`` sums directly when either operand is at most this long
@@ -228,22 +227,6 @@ def apply_fractional(u: Sequence, spec: OperatorSpec) -> Sequence:
     return Sequence(u.offset - r_out, out, trunc_bound=bound)
 
 
-def apply_composed(
-    u: Sequence, s: float, radius: int, error_budget: float = math.inf
-) -> Sequence:
-    """(-Lap)^s u as (-Lap)^{s - floor(s)} applied after (-Lap)^{floor(s)}.
-
-    The second factor is skipped when s is (numerically) an integer.
-    """
-    s = _kernel._check_order(s)
-    mfl = math.floor(s)
-    frac = s - mfl
-    v = apply_integer_power(u, mfl)
-    if frac <= NEAR_INTEGER_TOL:
-        return v
-    return apply_fractional(v, OperatorSpec(frac, radius, "series", error_budget))
-
-
 # ---------------------------------------------------------------------------
 # heat semigroup
 # ---------------------------------------------------------------------------
@@ -287,40 +270,43 @@ def _semigroup_window(v: Sequence, z: float, radius: int) -> tuple[np.ndarray, n
 
 
 # The oracle's node layout: the inner segment ends at _SPLIT, the outer one at
-# _Z_MAX, and the first rule has _FIRST_NODES nodes per segment.  Doubling
-# stops at _LAST_NODES = 96 * 16: 1,536 nodes converge s = 0.99999 on a random
-# 41-point input where 768 do not (drift 2.0e-6), and an input that never
-# converges raises after 2-3 s of CPU cold, about 1 s warm (2-vCPU Xeon).
+# _Z_MAX, and the first rule has _FIRST_NODES intervals per segment.  Doubling
+# stops at _LAST_NODES = 64 * 16: s = 0.99999 on a random 41-point input needs
+# the 1,025-node rules (the 257- and 513-node ones differ by 9.5e-6), and an
+# input that never converges raises after about 0.6 s of CPU (2-vCPU Xeon).
 _SPLIT = 1.0
 _Z_MAX = 200.0
-_FIRST_NODES = 96
-_LAST_NODES = 1536
+_FIRST_NODES = 64
+_LAST_NODES = 1024
 
 
-@lru_cache(maxsize=16)
-def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [-1, 1], read-only (built once per n)."""
-    x, w = leggauss(n)
+@lru_cache(maxsize=8)
+def _clenshaw_curtis(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (n+1)-node Clenshaw-Curtis rule on [-1, 1], read-only (built once per n).
+
+    Node j is cos(j pi / n), computed as sin(pi (n - 2j) / (2n)), so the nodes
+    of n are bit for bit the even-indexed nodes of 2n.  The weights are the
+    type-I discrete cosine transform of the moments 2 / (1 - k^2), k even,
+    taken by one real FFT (Waldvogel, BIT 46, 2006).
+    """
+    x = np.sin(np.pi * np.arange(n, -n - 1, -2) / (2 * n))
+    moments = np.zeros(n + 1)
+    moments[::2] = 2.0 / (1.0 - np.arange(0, n + 1, 2) ** 2.0)
+    w = np.fft.rfft(np.concatenate([moments, moments[-2:0:-1]])).real / n
+    w[[0, -1]] *= 0.5
     x.flags.writeable = w.flags.writeable = False
     return x, w
 
 
-def _gl_nodes(n: int, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
-    x, w = _leggauss(n)
-    mid = 0.5 * (lo + hi)
-    halfw = 0.5 * (hi - lo)
-    return mid + halfw * x, halfw * w
+def _oracle_pass(v: Sequence, sigma: float, radius: int, far_cut: float):
+    """Yield (n, result) for the sigma-order integral applied to v with the
+    (n+1)-node Clenshaw-Curtis rules, n = _FIRST_NODES, 2 _FIRST_NODES, ...,
+    on the inner, outer and far segments; each result is dense on
+    [v.offset - radius, v.end-1 + radius].
 
-
-def _oracle_pass(
-    v: Sequence, sigma: float, radius: int, n: int, far_cut: float
-) -> np.ndarray:
-    """One evaluation of the sigma-order integral applied to v, with n-node
-    Gauss-Legendre rules on the inner, outer and far segments.
-
-    Returns the dense result on [v.offset - radius, v.end-1 + radius].
+    The rules are nested (Trefethen, SIAM Rev. 50, 2008), so each pass keeps
+    the integrand values of the one before and evaluates only its new nodes.
     """
-    length = len(v) + 2 * radius
     v_dense = v.window(v.offset - radius, v.end - 1 + radius)
 
     # Taylor data for (S_z - I)v / z at small z: Lap v, Lap^2 v, Lap^3 v
@@ -332,36 +318,49 @@ def _oracle_pass(
     t2 = d2.window(lo_n, hi_n)
     t3 = -d3.window(lo_n, hi_n)
 
+    @lru_cache(maxsize=None)  # this call's memo: the segments share z = 1 and z = _Z_MAX
+    def semigroup(z: float) -> np.ndarray:
+        return _semigroup_window(v, z, radius)[0]
+
     def diff_over_z(z: float) -> np.ndarray:
-        # (S_z v - v) / z; by Taylor below the cancellation floor
+        # (S_z v - v) / z; by Taylor below the cancellation floor (and at z = 0)
         if z <= 1e-4:
             return t1 + (0.5 * z) * t2 + (z * z / 6.0) * t3
-        return (_semigroup_window(v, z, radius)[0] - v_dense) / z
+        return (semigroup(z) - v_dense) / z
 
-    total = np.zeros(length)
+    def far(y: float) -> np.ndarray:
+        z = _Z_MAX * math.exp(y)
+        return z ** (-sigma) * semigroup(z)
 
-    # inner (0, split]: z = t^beta absorbs the singularity; the transformed
-    # integrand is beta * (S_z - I)v / z, bounded down to t = 0
     beta = 1.0 / (1.0 - sigma)
-    t_nodes, t_weights = _gl_nodes(n, 0.0, _SPLIT ** (1.0 - sigma))
-    for t, w in zip(t_nodes, t_weights):
-        total += (w * beta) * diff_over_z(t**beta)
-
-    # outer [split, z_max]: plain Gauss-Legendre of z^{-sigma} * (S_z - I)v / z
-    z_nodes, z_weights = _gl_nodes(n, _SPLIT, _Z_MAX)
-    for z, w in zip(z_nodes, z_weights):
-        total += (w * z ** (-sigma)) * diff_over_z(z)
-
-    # beyond z_max: the identity component integrates in closed form ...
-    total -= v_dense * (_Z_MAX ** (-sigma) / sigma)
-    # ... and the decaying semigroup component on a log-spaced segment
+    segments = [
+        # inner (0, split]: z = t^beta absorbs the singularity; the transformed
+        # integrand is beta * (S_z - I)v / z, bounded down to t = 0
+        (0.0, _SPLIT ** (1.0 - sigma), lambda t: beta * diff_over_z(t**beta)),
+        # outer [split, z_max]: z^{-sigma} * (S_z - I)v / z
+        (_SPLIT, _Z_MAX, lambda z: z ** (-sigma) * diff_over_z(z)),
+    ]
+    # beyond z_max: the decaying semigroup component, in y = log(z / z_max) ...
     if far_cut > _Z_MAX * (1.0 + 1e-12):
-        y_nodes, y_weights = _gl_nodes(n, math.log(_Z_MAX), math.log(far_cut))
-        for y, w in zip(y_nodes, y_weights):
-            z = math.exp(y)
-            total += (w * math.exp(-sigma * y)) * _semigroup_window(v, z, radius)[0]
+        segments.append((0.0, math.log(far_cut / _Z_MAX), far))
+    # ... and the identity component in closed form
+    identity_tail = v_dense * (_Z_MAX ** (-sigma) / sigma)
 
-    return total / gamma(-sigma)
+    values = [None] * len(segments)
+    n = _FIRST_NODES
+    while True:
+        x, w = _clenshaw_curtis(n)
+        total = -identity_tail
+        for i, (lo, hi, f) in enumerate(segments):
+            mid, halfw = 0.5 * (lo + hi), 0.5 * (hi - lo)
+            if n == _FIRST_NODES:
+                values[i] = np.array([f(mid + halfw * xj) for xj in x])
+            else:  # new node k lies between the old nodes k and k + 1
+                fresh = np.array([f(mid + halfw * xj) for xj in x[1::2]])
+                values[i] = np.insert(values[i], np.arange(1, n // 2 + 1), fresh, axis=0)
+            total = total + halfw * (w @ values[i])
+        yield n, total / gamma(-sigma)
+        n *= 2
 
 
 # the drift test rejects every non-finite result, so numpy's warnings add nothing
@@ -371,19 +370,25 @@ def apply_quadrature_oracle(u: Sequence, s: float, *, radius: int = 64) -> Seque
 
     Computes v = (-Lap)^{floor(s)} u exactly, then integrates
     (1/Gamma(-sigma)) int_0^inf z^{-sigma-1} (S_z v - v) dz with
-    sigma = s - floor(s) in four pieces, each with an n-node Gauss-Legendre
+    sigma = s - floor(s) in four pieces, three of them with a Clenshaw-Curtis
     rule: an inner segment (0, 1], where the substitution z = t^{1/(1-sigma)}
     removes the singularity; a plain outer segment [1, 200]; beyond 200 the
     identity component in closed form; and a log-spaced far segment for the
-    semigroup component, cut where its certified remainder drops below
-    1e-9 (``trunc_bound``).
+    semigroup component, cut where its certified remainder drops below ftol
+    = 1e-9 max(1, sup|v|).
 
-    The oracle checks its own convergence: it evaluates the integral with
-    96 nodes and again with twice as many, doubling until two successive
-    results agree within 1e-6 in sup norm, and returns the finer one.  If
-    they still differ at 1,536 nodes, or their difference is not finite, it
-    raises :class:`QuadratureConvergenceError`.  ``radius`` dilates the
-    output window of the fractional step (total dilation is floor(s) + radius).
+    The oracle checks its own convergence: it integrates with 65 nodes per
+    segment, then 129, doubling the intervals until two successive results
+    agree within 1e-6 in sup norm, and returns the finer one.  The rules are
+    nested, so each doubling pays only for its new nodes (Waldvogel, BIT 46,
+    2006; Trefethen, SIAM Rev. 50, 2008).  If the results still differ at
+    1,025 nodes, or their difference is not finite, it raises
+    :class:`QuadratureConvergenceError`.  ``radius`` dilates the output
+    window of the fractional step (total dilation is floor(s) + radius).
+
+    The returned ``trunc_bound`` is ftol, which bounds only the cut far
+    tail.  The quadrature drift, up to 1e-6, is not part of it, so as a
+    bound on the error of the result it is an estimate.
     """
     s = _kernel._check_order(s)
     if _kernel._is_near_integer(s):
@@ -414,17 +419,15 @@ def apply_quadrature_oracle(u: Sequence, s: float, *, radius: int = 64) -> Seque
     ) / (sigma + 0.5)
     far_cut = max(_Z_MAX, math.exp(min(log_cut, 700.0)))
 
-    n = _FIRST_NODES
-    coarse = _oracle_pass(v, sigma, radius, n, far_cut)
-    while True:
-        n *= 2
-        fine = _oracle_pass(v, sigma, radius, n, far_cut)
+    passes = _oracle_pass(v, sigma, radius, far_cut)
+    _, coarse = next(passes)
+    for n, fine in passes:
         drift = float(np.max(np.abs(fine - coarse)))
         if drift <= 1e-6:
             return Sequence(v.offset - radius, fine, trunc_bound=ftol)
         if not math.isfinite(drift) or n >= _LAST_NODES:
             raise QuadratureConvergenceError(
-                f"the {n // 2}- and {n}-node rules differ by {drift:.3e} (limit 1e-6)"
+                f"the {n // 2 + 1}- and {n + 1}-node rules differ by {drift:.3e} (limit 1e-6)"
             )
         coarse = fine
 
@@ -440,7 +443,5 @@ def apply(u: Sequence, spec: OperatorSpec) -> Sequence:
         return apply_fractional(u, spec)
     if spec.path == "binomial":
         return apply_integer_power(u, round(spec.s))
-    if spec.path == "quadrature":
-        return apply_quadrature_oracle(u, spec.s, radius=spec.radius)
-    return apply_composed(u, spec.s, spec.radius, spec.error_budget)
+    return apply_quadrature_oracle(u, spec.s, radius=spec.radius)
 

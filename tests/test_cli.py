@@ -154,12 +154,13 @@ def test_apply_quadrature_agrees_with_series(tmp_path):
     assert sup_dist(_as_sequence(_data_rows(a)), _as_sequence(_data_rows(b))) < 1e-6
 
 
-def test_apply_composed_path(tmp_path):
+def test_apply_composed_path_exits_2(tmp_path, capsys):
     out = tmp_path / "c.csv"
-    rc = main(["apply", "--s", "2", "--path", "composed", "--out", str(out)])
-    assert rc == 0
-    rows = _data_rows(out)
-    assert rows == ["n,value", "-2,1.0", "-1,-4.0", "0,6.0", "1,-4.0", "2,1.0"]
+    with pytest.raises(SystemExit) as exc:
+        main(["apply", "--s", "2", "--path", "composed", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "invalid choice: 'composed'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_apply_quadrature_custom_scheme(tmp_path):
@@ -225,7 +226,7 @@ def test_apply_quadrature_overflow_prints_one_message(tmp_path):
     done = _run_cli(argv + ["--out", str(tmp_path / "q.csv")])
     assert done.returncode == 1
     assert done.stderr.splitlines() == [
-        "numerical failure: the 96- and 192-node rules differ by nan (limit 1e-6)"
+        "numerical failure: the 65- and 129-node rules differ by nan (limit 1e-6)"
     ]
 
 

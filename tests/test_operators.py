@@ -14,11 +14,11 @@ from fraclat import (
     QuadratureConvergenceError,
     Sequence,
     apply,
-    apply_composed,
     apply_fractional,
     apply_integer_power,
     apply_quadrature_oracle,
     axpy,
+    bessel_i_scaled_row,
     delta,
     heat_semigroup,
     inner,
@@ -28,7 +28,7 @@ from fraclat import (
     sup_dist,
 )
 from fraclat import kernel as _kernel
-from fraclat.operators import _fft_size, fftconvolve
+from fraclat.operators import _clenshaw_curtis, _fft_size, fftconvolve
 from conftest import random_sequence
 
 
@@ -126,17 +126,8 @@ def test_fractional_self_adjoint(rng):
         assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-12)
 
 
-def test_composed_routes():
-    c2 = apply_composed(delta(0), 2.0, 16)
-    assert list(c2.values) == [1.0, -4.0, 6.0, -4.0, 1.0]
-    # floor = 0 branch is the plain fractional path
-    a = apply_composed(delta(0), 0.5, 32)
-    b = apply_fractional(delta(0), OperatorSpec(0.5, 32))
-    assert a == b
-
-
 def test_composed_agrees_with_direct():
-    a = apply_composed(delta(0), 1.5, 256)
+    a = apply_fractional(apply_integer_power(delta(0), 1), OperatorSpec(0.5, 256))
     b = apply_fractional(delta(0), OperatorSpec(1.5, 256))
     assert sup_dist(a, b) < 1e-8
 
@@ -171,7 +162,6 @@ def test_apply_dispatcher(rng):
     assert apply(u, OperatorSpec(0.5, 16, "series")) == apply_fractional(
         u, OperatorSpec(0.5, 16)
     )
-    assert apply(u, OperatorSpec(2.5, 16, "composed")) == apply_composed(u, 2.5, 16)
 
 
 def _reflect(u):
@@ -384,21 +374,89 @@ def test_oracle_refines_its_rule_near_an_integer_order():
     assert sup_dist(series, oracle) < 1e-6
 
 
+def _random_41():
+    return Sequence(-20, np.random.default_rng(1).uniform(-1.0, 1.0, 41))
+
+
 def test_oracle_raises_when_the_finest_rule_does_not_converge():
-    u = Sequence(-20, np.random.default_rng(1).uniform(-1.0, 1.0, 41))
-    with pytest.raises(QuadratureConvergenceError, match="1536-node"):
-        apply_quadrature_oracle(u, 12.25)
+    with pytest.raises(QuadratureConvergenceError, match="1025-node"):
+        apply_quadrature_oracle(_random_41(), 19.75)
+
+
+def test_oracle_converges_on_a_high_order():
+    # (-Lap)^12 u reaches about 8.8e6 here; the 513- and 1,025-node rules agree
+    oracle = apply_quadrature_oracle(_random_41(), 12.25)
+    assert sup_dist(oracle, apply_fractional(_random_41(), OperatorSpec(12.25, 76))) < 1e-6
+
+
+def test_oracle_needs_its_finest_rule_near_an_integer_order(monkeypatch):
+    # the reason for _LAST_NODES: the 257- and 513-node rules differ by 9.5e-6
+    series = apply_fractional(_random_41(), OperatorSpec(0.99999, 64))
+    oracle = apply_quadrature_oracle(_random_41(), 0.99999)
+    assert sup_dist(series, oracle) < 1e-6
+    monkeypatch.setattr("fraclat.operators._LAST_NODES", 512)
+    with pytest.raises(QuadratureConvergenceError, match="513-node"):
+        apply_quadrature_oracle(_random_41(), 0.99999)
+
+
+@pytest.mark.parametrize("n", [64, 128, 256, 512])
+def test_clenshaw_curtis_rules_are_nested(n):
+    assert _clenshaw_curtis(n)[0].tobytes() == _clenshaw_curtis(2 * n)[0][::2].tobytes()
+
+
+@pytest.mark.parametrize("n", [64, 1024])
+def test_clenshaw_curtis_integrates_polynomials_exactly(n):
+    x, w = _clenshaw_curtis(n)
+    for k in range(n + 1):
+        exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+        assert abs(w @ x**k - exact) < 1e-14
+
+
+def test_oracle_evaluates_each_node_once(monkeypatch):
+    seen = []
+
+    def row(x, kmax):
+        seen.append(x)
+        return bessel_i_scaled_row(x, kmax)
+
+    monkeypatch.setattr("fraclat.operators.bessel_i_scaled_row", row)
+    series = apply_fractional(delta(0), OperatorSpec(0.5, 24))
+    assert sup_dist(apply_quadrature_oracle(delta(0), 0.5, radius=24), series) < 1e-6
+    # s = 0.5 converges on the 129-node rules: z = t^2 on the inner segment t in [0, 1]
+    # (Taylor below z = 1e-4), z in [1, 200] on the outer one, z >= 200 on the far one
+    x = _clenshaw_curtis(128)[0]
+    inner = {t**2.0 for t in 0.5 + 0.5 * x if t**2.0 > 1e-4}
+    outer = set(100.5 + 99.5 * x)
+    near = [arg / 2.0 for arg in seen if arg <= 400.0]  # the row's argument is 2z
+    assert set(near) == inner | outer
+    assert len(seen) == len(set(seen)) == len(near) + 128
 
 
 @pytest.mark.parametrize("s", [math.inf, math.nan])
 @pytest.mark.parametrize(
     "path",
-    [
-        lambda s: apply_composed(delta(0), s, 8),
-        lambda s: apply_quadrature_oracle(delta(0), s),
-    ],
-    ids=["composed", "quadrature"],
+    [lambda s: apply_quadrature_oracle(delta(0), s)],
+    ids=["quadrature"],
 )
 def test_non_finite_order_rejected(path, s):
     with pytest.raises(ValueError, match="order must be positive and finite"):
         path(s)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    st.floats(min_value=0.0, max_value=3.0, exclude_min=True, exclude_max=True).filter(
+        lambda s: not _kernel._is_near_integer(s)
+    ),
+    st.integers(min_value=4, max_value=24),
+    st.integers(min_value=1, max_value=9),
+    _seeds,
+)
+def test_oracle_agrees_with_series_or_raises(s, radius, length, seed):
+    # nested rules share values, so a drift that underestimates the error would pass silently
+    u = _property_input(seed, length)
+    try:
+        oracle = apply_quadrature_oracle(u, s, radius=radius)
+    except QuadratureConvergenceError:
+        return
+    assert sup_dist(oracle, apply_fractional(u, OperatorSpec(s, radius + math.floor(s)))) < 1e-6
