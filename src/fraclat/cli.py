@@ -7,7 +7,9 @@ tool version, one line per parsed argument keyed by its ``argparse`` dest
 (``kernel_radius`` is ``--kernel-radius``), the computed values and the elapsed
 wall time.  Re-running with the recorded arguments reproduces the data rows
 byte for byte.  Exit codes: 0 success, 1 numerical failure, 2 argument or
-parse error, 3 budget or stability violation.
+parse error, 3 budget or stability violation.  Each command runs with numpy
+set to raise on overflow and on invalid operations, so a run that would
+write ``inf`` or ``nan`` exits 1 instead.
 """
 
 from __future__ import annotations
@@ -51,6 +53,9 @@ _MAX_SIZE = 10**7
 # The most seeds --seeds may name.  The ensemble keeps probes x depth result
 # rows of about 100 bytes per seed until the CSV is written.
 _MAX_SEEDS = 10**5
+# The most RK4 steps (round(--t / --dt)) evolve may take; see README for the
+# cost of a step.  More steps exit 2 before anything is allocated.
+_MAX_STEPS = 10**6
 
 
 def _cell(value) -> str:
@@ -197,6 +202,8 @@ def _cmd_localize(args) -> int:
 def _cmd_evolve(args) -> int:
     t0 = time.perf_counter()
     _check_size("--window", args.window)
+    if math.isfinite(args.t) and args.dt > 0.0 and args.t / args.dt > _MAX_STEPS:
+        raise ValueError(f"--t {args.t} / --dt {args.dt} exceeds the step limit {_MAX_STEPS}")
     disorder = sample_disorder(args.c, args.seed, args.window)
     # evolve uses every lag in the window and does not read kernel_radius;
     # the window radius is always a valid value
@@ -293,7 +300,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with np.errstate(over="raise", invalid="raise"):
+            return args.func(args)
     except (BudgetExceededError, StabilityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_BUDGET

@@ -1,5 +1,8 @@
 """The fractional kernel K_s(k): closed forms, limits, tables, certificates.
 
+This module holds only the mathematics of K_s (``build_table`` caches its
+tables); the convolution cache lives in :mod:`fraclat.operators`.
+
 For non-integer order s > 0 the kernel admits two equivalent closed forms:
 
 * the ratio form  K_s(k) = -4^s G(1/2+s) G(|k|-s) / (sqrt(pi) G(-s) G(|k|+1+s)),
@@ -68,8 +71,26 @@ def _check_order(s: float) -> float:
     return s
 
 
-def _is_near_integer(s: float, tol: float = NEAR_INTEGER_TOL) -> bool:
-    return abs(s - round(s)) <= tol
+def _is_near_integer(s: float) -> bool:
+    return abs(s - round(s)) <= NEAR_INTEGER_TOL
+
+
+def _check_non_integer_order(s: float) -> float:
+    """``_check_order``, and NearIntegerOrderError within NEAR_INTEGER_TOL of an integer."""
+    s = _check_order(s)
+    if _is_near_integer(s):
+        raise NearIntegerOrderError(f"order {s!r} is within {NEAR_INTEGER_TOL} of an integer")
+    return s
+
+
+def _log_abs_kernel_far(s: float, mu):
+    """ln |K_s(mu)| at lags mu > ceil(s), a float or an array, for non-integer s;
+    K_s(mu) there has the sign of sin(pi s)."""
+    return (
+        math.log(abs(_sinpi(s)) / math.pi)
+        + log_gamma(2.0 * s + 1.0)
+        + log_gamma_ratio(mu - s, mu + 1.0 + s)
+    )
 
 
 def kernel_value(s: float, k: int) -> float:
@@ -78,12 +99,7 @@ def kernel_value(s: float, k: int) -> float:
     Symmetric in k: negative lags are mapped to |k| before any Gamma call.
     Relative accuracy is ~1e-12 up to |k| = 1e5 and s = 20.
     """
-    s = _check_order(s)
-    if _is_near_integer(s):
-        raise NearIntegerOrderError(
-            f"order {s!r} is within {NEAR_INTEGER_TOL} of an integer; "
-            "use kernel_extended"
-        )
+    s = _check_non_integer_order(s)
     mu = abs(int(k))
     if mu == 0:
         return 0.0
@@ -97,13 +113,7 @@ def kernel_value(s: float, k: int) -> float:
             - log_gamma(1.0 + s - mu)
         )
         return sign * math.exp(log_mag)
-    sp = _sinpi(s)
-    log_mag = (
-        math.log(abs(sp) / math.pi)
-        + log_gamma(2.0 * s + 1.0)
-        + log_gamma_ratio(mu - s, mu + 1.0 + s)
-    )
-    return math.copysign(math.exp(log_mag), sp)
+    return math.copysign(math.exp(_log_abs_kernel_far(s, mu)), _sinpi(s))
 
 
 def kernel_value_reference(s: float, k: int) -> float:
@@ -114,9 +124,7 @@ def kernel_value_reference(s: float, k: int) -> float:
     :func:`kernel_value` except for the shared log-Gamma kernel; overflows
     for |k| beyond ~100, which is why the production path works in logs.
     """
-    s = _check_order(s)
-    if _is_near_integer(s):
-        raise NearIntegerOrderError(f"order {s!r} too close to an integer")
+    s = _check_non_integer_order(s)
     mu = abs(int(k))
     if mu == 0:
         return 0.0
@@ -197,33 +205,24 @@ def asymptotic_decay_constant(s: float) -> float:
 def kernel_row(s: float, radius: int) -> np.ndarray:
     """Vector of kernel_extended(s, k) for k = 0..radius.
 
-    Large lags are evaluated in one vectorized log-space pass; the sign for
-    lags beyond ceil(s) is the constant sign of sin(pi s).
+    The lags up to ceil(s) come from :func:`kernel_extended`; the lags beyond
+    are zero at integer s and otherwise evaluated in one vectorized log-space
+    pass, with the constant sign of sin(pi s).
     """
     s = _check_order(s)
     radius = int(radius)
     if radius < 0:
         raise ValueError("radius must be non-negative")
+    near_int = _is_near_integer(s)
+    if near_int and round(s) < 1:
+        raise ValueError(f"order {s!r} is too close to zero")
     out = np.zeros(radius + 1)
-    if _is_near_integer(s):
-        r = round(s)
-        if r < 1:
-            raise ValueError(f"order {s!r} is too close to zero")
-        for mu in range(1, min(r, radius) + 1):
-            out[mu] = kernel_limit_at_integer(r, mu)
-        return out
     m = math.ceil(s)
     for mu in range(1, min(m, radius) + 1):
-        out[mu] = kernel_value(s, mu)
-    if radius > m:
+        out[mu] = kernel_extended(s, mu)
+    if radius > m and not near_int:
         mu = np.arange(m + 1, radius + 1, dtype=float)
-        sp = _sinpi(s)
-        log_mag = (
-            math.log(abs(sp) / math.pi)
-            + log_gamma(2.0 * s + 1.0)
-            + log_gamma_ratio(mu - s, mu + 1.0 + s)
-        )
-        out[m + 1 :] = math.copysign(1.0, sp) * np.exp(log_mag)
+        out[m + 1 :] = math.copysign(1.0, _sinpi(s)) * np.exp(_log_abs_kernel_far(s, mu))
     return out
 
 
@@ -251,9 +250,6 @@ class KernelTable:
         object.__setattr__(self, "values", vals)
 
 
-# the package's kernel caches: tables here, and in _convolution_kernel the
-# mirrored rows or spectra that the convolutions use (at any radius: evolve's
-# 2W may be below build_table's minimum)
 @lru_cache(maxsize=128)
 def build_table(s: float, radius: int) -> KernelTable:
     """Build (or fetch from cache) the kernel table for order s.
@@ -286,35 +282,6 @@ def build_table(s: float, radius: int) -> KernelTable:
     return KernelTable(s=s, radius=radius, values=values, total_sum=total, tail_bound=tail)
 
 
-@lru_cache(maxsize=128)
-def _convolution_kernel(
-    s: float, half: int, n: int
-) -> tuple[int, np.ndarray | None, np.ndarray | None]:
-    """(r, K_s on lags -r..r, its ``fftconvolve`` spectrum for n-point inputs).
-
-    r is the last lag <= ``half`` where K_s is nonzero.  Callers that convolve
-    many inputs of one length share the result read-only, so the kernel row,
-    its nonzero scan and its transform are computed once per (s, half, n).
-    An entry holds only what its callers read, and None in place of the
-    rest: the spectrum where ``_convolve`` takes the FFT, the kernel where it
-    sums directly or where ``evolve``'s clip bound reads it (half < n: every
-    lag stays inside the n sites).  Elsewhere ``fftconvolve`` needs only the
-    kernel's length 2r + 1.  A one-point input has half = R, so its row is
-    the table that ``apply_fractional`` has already built.
-    """
-    from .operators import _DIRECT_MAX, _fft_size  # operators imports this module
-
-    row = build_table(s, half).values if n == 1 else kernel_row(s, half)
-    r = int(np.flatnonzero(row)[-1])  # K_s(1) > 0 for every valid order, so r >= 1
-    kern = np.concatenate([row[r:0:-1], row[: r + 1]])
-    kern.setflags(write=False)
-    if min(n, kern.size) <= _DIRECT_MAX:
-        return r, kern, None
-    spectrum = np.fft.rfft(kern, _fft_size(n, kern.size))
-    spectrum.setflags(write=False)
-    return r, (kern if half < n else None), spectrum
-
-
 def decay_certificate(s: float, k_max: int) -> float:
     """Empirical decay constant max_k |K_s(k)| |k|^{1+2s} over ceil(s)+1..k_max.
 
@@ -322,9 +289,7 @@ def decay_certificate(s: float, k_max: int) -> float:
     constant; the tests check that doubling k_max moves the value by less
     than 1e-3 relative once k_max >= 1e3.
     """
-    s = _check_order(s)
-    if _is_near_integer(s):
-        raise NearIntegerOrderError(f"order {s!r} too close to an integer")
+    s = _check_non_integer_order(s)
     lo = math.ceil(s) + 1
     k_max = int(k_max)
     if k_max < lo:
@@ -342,9 +307,7 @@ def partial_sum_identity_check(s: float, m: int) -> float:
     which is zero in exact arithmetic for every non-integer s > 0 and m >= 1.
     Exercises the full Gamma stack including the negative-argument extension.
     """
-    s = _check_order(s)
-    if _is_near_integer(s):
-        raise NearIntegerOrderError(f"order {s!r} too close to an integer")
+    s = _check_non_integer_order(s)
     m = int(m)
     if m < 1:
         raise ValueError("m must be >= 1")

@@ -25,9 +25,10 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.random import Philox
 
-from .kernel import _check_order, _convolution_kernel, kernel_sum
+from .kernel import _check_order, kernel_sum
 from .lattice import Sequence, norm
 from .operators import _DIRECT_MAX, OperatorSpec, _convolve, _fft_size, apply_fractional
+from .operators import _convolution_kernel
 
 __all__ = [
     "SupportOverflowError",
@@ -173,18 +174,14 @@ def apply_hamiltonian(u: Sequence, config: HamiltonianConfig) -> Sequence:
     if len(u) == 0:
         return u
     frac = apply_fractional(u, OperatorSpec(config.s, r, "series"))
-    # the series output lies in [-W-R, W+R]; its sites [i, j) lie inside the
-    # window, and the values beyond are dropped
-    i = max(frac.offset, -w)
-    j = max(min(frac.end, w + 1), i)
-    vals = frac.values
-    edges = (vals[: i - frac.offset], vals[j - frac.offset :])
-    clip_mass = float(max(np.max(np.abs(e), initial=0.0) for e in edges))
-    lo, hi = min(i, u.offset), max(j, u.end)
-    out = np.zeros(hi - lo)
-    out[i - lo : j - lo] = vals[i - frac.offset : j - frac.offset]
+    # the series output lies in [-W-R, W+R] and covers u; its sites [lo, hi]
+    # lie inside the window, and the values beyond are dropped
+    lo, hi = max(frac.offset, -w), min(frac.end - 1, w)
+    out = frac.window(lo, hi)
     pot = config.disorder.potential[u.offset + w : u.end + w]
     out[u.offset - lo : u.end - lo] += pot * u.values
+    dropped = np.delete(frac.values, slice(lo - frac.offset, hi + 1 - frac.offset))
+    clip_mass = float(np.max(np.abs(dropped), initial=0.0))
     return Sequence(lo, out, trunc_bound=frac.trunc_bound + clip_mass)
 
 
@@ -271,7 +268,11 @@ def krylov_residual(v: Sequence, basis: OrbitBasis) -> list[float]:
     """Distances ||v - sum_{j<d} <v, b_j> b_j|| from unit v to the span of the
     first d basis vectors, for d = 1, ..., len(basis).
 
-    The support of v must lie inside the basis's window [-W, W].
+    The support of v must lie inside the basis's window [-W, W].  With the
+    coefficients a = q v and the part r = v - q^T a of v orthogonal to the
+    whole basis, the distance at depth d is sqrt(||r||^2 + sum_{j>=d} a_j^2):
+    a sum of non-negative terms, so it neither cancels nor grows with d.  It
+    is capped at ||v||, which rounding in that sum can exceed by an ulp.
     """
     nv = norm(v)
     if abs(nv - 1.0) > 1e-10:
@@ -279,12 +280,10 @@ def krylov_residual(v: Sequence, basis: OrbitBasis) -> list[float]:
     w = basis.q.shape[1] // 2
     _check_window("probe", v, w)
     dense = v.window(-w, w)
-    resid = dense.copy()
-    out = []
-    for qj in basis.q:
-        resid -= np.dot(qj, dense) * qj
-        out.append(float(np.linalg.norm(resid)))
-    return out
+    alpha = basis.q @ dense
+    r = dense - alpha @ basis.q
+    beyond = np.append(np.cumsum(alpha[:0:-1] ** 2)[::-1], 0.0)  # sum_{j>=d} a_j^2
+    return np.minimum(np.sqrt(r @ r + beyond), nv).tolist()
 
 
 # ---------------------------------------------------------------------------

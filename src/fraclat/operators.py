@@ -18,6 +18,11 @@ e^{-2z} I_{n-k}(2z).  Output windows are the input support dilated by the
 truncation radius; each result carries a bound on the discarded mass in its
 ``trunc_bound`` field, certified except for the oracle's (see there).
 
+The module owns the convolution cache, ``_convolution_kernel``: the mirrored
+kernel rows or spectra that the convolutions use, at any radius (``evolve``'s
+2W may be below ``build_table``'s minimum).  The package's one other kernel
+cache is ``kernel.build_table``, which keeps the tables.
+
 Convention: the zeroth power is the identity.  (An alternative convention
 mapping w to -w exists in the literature; it is incompatible with the
 composition rule used here and is not implemented.  ``fraclat validate``
@@ -147,6 +152,33 @@ def _fft_size(na: int, nb: int) -> int:
     return best
 
 
+@lru_cache(maxsize=128)
+def _convolution_kernel(
+    s: float, half: int, n: int
+) -> tuple[int, np.ndarray | None, np.ndarray | None]:
+    """(r, K_s on lags -r..r, its ``fftconvolve`` spectrum for n-point inputs).
+
+    r is the last lag <= ``half`` where K_s is nonzero.  Callers that convolve
+    many inputs of one length share the result read-only, so the kernel row,
+    its nonzero scan and its transform are computed once per (s, half, n).
+    An entry holds only what its callers read, and None in place of the
+    rest: the spectrum where ``_convolve`` takes the FFT, the kernel where it
+    sums directly or where ``evolve``'s clip bound reads it (half < n: every
+    lag stays inside the n sites).  Elsewhere ``fftconvolve`` needs only the
+    kernel's length 2r + 1.  A one-point input has half = R, so its row is
+    the table that ``apply_fractional`` has already built.
+    """
+    row = build_table(s, half).values if n == 1 else _kernel.kernel_row(s, half)
+    r = int(np.flatnonzero(row)[-1])  # K_s(1) > 0 for every valid order, so r >= 1
+    kern = np.concatenate([row[r:0:-1], row[: r + 1]])
+    kern.setflags(write=False)
+    if min(n, kern.size) <= _DIRECT_MAX:
+        return r, kern, None
+    spectrum = np.fft.rfft(kern, _fft_size(n, kern.size))
+    spectrum.setflags(write=False)
+    return r, (kern if half < n else None), spectrum
+
+
 def _convolve(
     a: np.ndarray, b: np.ndarray, b_spectrum: np.ndarray | None = None
 ) -> np.ndarray:
@@ -214,7 +246,7 @@ def apply_fractional(u: Sequence, spec: OperatorSpec) -> Sequence:
             f"certified truncation {bound:.3e} exceeds budget {spec.error_budget:.3e}"
         )
     length = len(u)
-    kern_half, kern, spectrum = _kernel._convolution_kernel(s, radius + length - 1, length)
+    kern_half, kern, spectrum = _convolution_kernel(s, radius + length - 1, length)
     # window [offset - kern_half, end-1 + kern_half]; the FFT entry keeps no kernel
     if spectrum is None:
         conv = _convolve(u.values, kern)
@@ -390,12 +422,7 @@ def apply_quadrature_oracle(u: Sequence, s: float, *, radius: int = 64) -> Seque
     tail.  The quadrature drift, up to 1e-6, is not part of it, so as a
     bound on the error of the result it is an estimate.
     """
-    s = _kernel._check_order(s)
-    if _kernel._is_near_integer(s):
-        raise _kernel.NearIntegerOrderError(
-            f"order {s!r} is within tolerance of an integer; "
-            "use apply_integer_power or apply_fractional"
-        )
+    s = _kernel._check_non_integer_order(s)
     sigma = s - math.floor(s)
     radius = int(radius)
     if radius < 1:

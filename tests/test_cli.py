@@ -470,6 +470,48 @@ def test_evolve_unstable_step_exits_3(tmp_path):
     assert rc == 3
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["evolve", "--s", "0.5", "--t", "1", "--dt", "0.01", "--input", "BIG"],
+        ["localize", "--s", "0.5", "--c", "1e308", "--seeds", "1"]
+        + ["--window", "8", "--kernel-radius", "4"],
+    ],
+    ids=["evolve-nan", "localize-overflow"],
+)
+def test_overflow_exits_1_with_one_message(argv, tmp_path):
+    # numpy raises on overflow and invalid operations, so no run writes inf or
+    # nan, or a warning, and then exits 0
+    big = tmp_path / "big.txt"
+    big.write_text("offset 0\n1e308\n1e308\n", encoding="utf-8")
+    out = tmp_path / "x.csv"
+    argv = [str(big) if a == "BIG" else a for a in argv]
+    done = _run_cli(argv + ["--out", str(out)])
+    assert done.returncode == 1
+    assert len(done.stderr.splitlines()) == 1
+    assert done.stderr.startswith("numerical failure: overflow")
+    assert not out.exists()
+
+
+def test_evolve_step_limit_exits_2_before_allocating(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_MAX_STEPS", 99)
+    out = tmp_path / "x.csv"
+    rc = main(["evolve", "--s", "0.5", "--t", "1", "--dt", "0.01", "--out", str(out)])
+    assert rc == 2
+    assert "--t 1.0 / --dt 0.01 exceeds the step limit 99" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_evolve_subnormal_step_exits_2(tmp_path, capsys):
+    # t / dt is inf, which the step limit rejects before round() would fail on it
+    out = tmp_path / "x.csv"
+    argv = ["evolve", "--s", "0.5", "--c", "1e308", "--t", "1", "--dt", "1e-310"]
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "--t" in err and "--dt" in err and str(cli._MAX_STEPS) in err
+    assert not out.exists()
+
+
 def test_evolve_infinite_amplitude_exits_2(tmp_path, capsys):
     out = tmp_path / "x.csv"
     rc = main(["evolve", "--s", "1", "--c", "inf", "--t", "1", "--dt", "0.01", "--out", str(out)])

@@ -1,6 +1,8 @@
 """Kernel closed forms, integer limits, tables, and Gamma-stack identities."""
 
+import ast
 import math
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -19,6 +21,7 @@ from fraclat import (
     kernel_value_reference,
     partial_sum_identity_check,
 )
+from fraclat import kernel as _kernel
 
 # ---------------------------------------------------------------------------
 # point values
@@ -278,3 +281,22 @@ def test_kernel_row_integer_order():
     row = kernel_row(2.0, 10)
     assert list(row[:3]) == [0.0, 4.0, -1.0]
     assert np.all(row[3:] == 0.0)
+
+
+# ---------------------------------------------------------------------------
+# layering
+# ---------------------------------------------------------------------------
+
+
+def test_kernel_imports_no_higher_layer():
+    # the kernel is the mathematics of K_s; the modules built on it import it,
+    # never the other way round, not even inside a function
+    tree = ast.parse(Path(_kernel.__file__).read_text(encoding="utf-8"))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names.update((node.module or "").split("."))
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            names.update(part for alias in node.names for part in alias.name.split("."))
+    assert not names & {"operators", "localization", "checks", "cli"}

@@ -397,6 +397,34 @@ def test_krylov_residual_monotone_in_depth(rng):
         assert b <= a + 1e-12
 
 
+def _loop_residuals(v, basis):
+    """Residuals by subtracting one projection per depth: the reference."""
+    w = basis.q.shape[1] // 2
+    dense = v.window(-w, w)
+    resid = dense.copy()
+    out = []
+    for qj in basis.q:
+        resid -= np.dot(qj, dense) * qj
+        out.append(float(np.linalg.norm(resid)))
+    return out
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_krylov_residual_matches_the_projection_loop(seed):
+    # a probe inside the span checks the residuals near zero, where a form
+    # that subtracts squares would cancel
+    basis = orbit_basis(_config(s=0.5, c=1.0, seed=seed, window=200, kernel_radius=16), depth=24)
+    for probe in (ODD_PROBE, delta(3), basis.vectors[5]):
+        got, want = krylov_residual(probe, basis), _loop_residuals(probe, basis)
+        assert np.max(np.abs(np.subtract(got, want))) <= 1e-14
+
+
+def test_krylov_residual_never_exceeds_the_probe_norm():
+    # here the sum of squares for depth 1 rounds to one ulp above ||delta(3)|| = 1
+    basis = orbit_basis(_config(s=0.5, c=1.0, seed=56, window=2048, kernel_radius=64), depth=32)
+    assert krylov_residual(delta(3), basis)[0] == 1.0
+
+
 def test_krylov_residual_requires_unit_norm():
     basis = orbit_basis(_config(), depth=2)
     with pytest.raises(ValueError):
