@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .checks import ZEROTH_POWER_CONVENTION, run_checks
-from .kernel import NearIntegerOrderError, build_table
+from .kernel import build_table
 from .lattice import Sequence, delta, norm, parse_sequence
 from .localization import (
     HamiltonianConfig,
@@ -156,6 +156,8 @@ def _cmd_apply(args) -> int:
     u = delta(0) if args.input is None else _read_sequence(args.input)
     spec = OperatorSpec(args.s, args.radius, args.path, args.budget)
     result = apply(u, spec)
+    if not np.all(np.isfinite(result.values)):  # np.convolve ignores np.errstate
+        raise FloatingPointError("overflow encountered in convolve")
     results = {"trunc_bound": result.trunc_bound}
     _write_csv(args, results, "n,value", _sequence_rows(result), t0)
     return _EXIT_OK
@@ -308,9 +310,6 @@ def main(argv=None) -> int:
     except (QuadratureConvergenceError, OverflowError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return _EXIT_NUMERICAL
-    except NearIntegerOrderError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_USAGE
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_USAGE

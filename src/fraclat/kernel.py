@@ -20,9 +20,11 @@ cancellation-aware :func:`fraclat.special.log_gamma_ratio`.  The ratio form
 is kept as :func:`kernel_value_reference` purely for cross-validation.
 
 At integer s the singularity is removable: the limit kernel is supported on
-|k| <= s and reproduces the binomial stencil coefficients.  Tables carry the
-total sum A_s = 4^s G(1/2+s)/(sqrt(pi) G(1+s)) and a certified bound on the
-absolute kernel mass beyond the table radius.
+|k| <= s and reproduces the binomial stencil coefficients.  The formulas
+are continuous in s across the integers (the far lags vanish with sin(pi s)),
+so only exact integers take the stencil, and their rows stay bit-exact.
+Tables carry the total sum A_s = 4^s G(1/2+s)/(sqrt(pi) G(1+s)) and a
+certified bound on the absolute kernel mass beyond the table radius.
 """
 
 from __future__ import annotations
@@ -61,7 +63,8 @@ NEAR_INTEGER_TOL = 1e-9
 
 
 class NearIntegerOrderError(ValueError):
-    """Order is within tolerance of an integer; use kernel_extended instead."""
+    """Order within NEAR_INTEGER_TOL of an integer, near a pole of Gamma(-s), on a
+    route that needs a non-integer order; kernel_extended takes every s > 0."""
 
 
 def _check_order(s: float) -> float:
@@ -94,26 +97,11 @@ def _log_abs_kernel_far(s: float, mu):
 
 
 def kernel_value(s: float, k: int) -> float:
-    """K_s(k) for non-integer order s > 0 (k = 0 gives exactly 0).
+    """:func:`kernel_extended` for non-integer order s > 0 (k = 0 gives exactly 0).
 
-    Symmetric in k: negative lags are mapped to |k| before any Gamma call.
-    Relative accuracy is ~1e-12 up to |k| = 1e5 and s = 20.
+    Raises NearIntegerOrderError within NEAR_INTEGER_TOL of an integer.
     """
-    s = _check_non_integer_order(s)
-    mu = abs(int(k))
-    if mu == 0:
-        return 0.0
-    m = math.ceil(s)
-    if mu <= m:
-        # product form, all Gamma arguments positive since 1+s-mu > 0
-        sign = -1.0 if mu % 2 == 0 else 1.0
-        log_mag = (
-            log_gamma(2.0 * s + 1.0)
-            - log_gamma(1.0 + s + mu)
-            - log_gamma(1.0 + s - mu)
-        )
-        return sign * math.exp(log_mag)
-    return math.copysign(math.exp(_log_abs_kernel_far(s, mu)), _sinpi(s))
+    return kernel_extended(_check_non_integer_order(s), k)
 
 
 def kernel_value_reference(s: float, k: int) -> float:
@@ -150,18 +138,25 @@ def kernel_limit_at_integer(s: int, k: int) -> float:
 
 
 def kernel_extended(s: float, k: int) -> float:
-    """Analytic extension of K_s(k) across integer orders.
+    """K_s(k) for every order s > 0, continuous in s across the integers.
 
-    Dispatches to the limit formula within 1e-9 of an integer and to
-    :func:`kernel_value` elsewhere; continuous in s.
+    At exact integers this is :func:`kernel_limit_at_integer`; elsewhere the
+    product form up to lag ceil(s) and the reflected form beyond.  Symmetric
+    in k: negative lags are mapped to |k| before any Gamma call.  Relative
+    accuracy is ~1e-12 up to |k| = 1e5 and s = 20, also next to an integer.
     """
     s = _check_order(s)
-    if _is_near_integer(s):
-        r = round(s)
-        if r < 1:
-            raise ValueError(f"order {s!r} is too close to zero")
-        return kernel_limit_at_integer(r, k)
-    return kernel_value(s, k)
+    mu = abs(int(k))
+    if s == round(s):
+        return kernel_limit_at_integer(round(s), mu)
+    if mu == 0:
+        return 0.0
+    if mu <= math.ceil(s):
+        # product form; s - (mu - 1) > 0 is exact where 1 + s - mu would round
+        sign = -1.0 if mu % 2 == 0 else 1.0
+        log_mag = log_gamma(2.0 * s + 1.0) - log_gamma(1.0 + s + mu) - log_gamma(s - (mu - 1))
+        return sign * math.exp(log_mag)
+    return math.copysign(math.exp(_log_abs_kernel_far(s, mu)), _sinpi(s))
 
 
 def kernel_sum(s: float) -> float:
@@ -172,9 +167,8 @@ def kernel_sum(s: float) -> float:
     that coefficient exactly so the limit route stays bit-clean.
     """
     s = _check_order(s)
-    if _is_near_integer(s) and round(s) >= 1:
-        m = round(s)
-        return binomial(2 * m, m)
+    if s == round(s):
+        return binomial(2 * round(s), round(s))
     return math.exp(
         s * math.log(4.0)
         + log_gamma(s + 0.5)
@@ -192,7 +186,7 @@ def _log_abs_gamma_minus(s: float) -> float:
 def asymptotic_decay_constant(s: float) -> float:
     """lim_{|k| -> inf} |K_s(k)| |k|^{1+2s} = 4^s G(1/2+s) / (sqrt(pi) |G(-s)|)."""
     s = _check_order(s)
-    if _is_near_integer(s):
+    if s == round(s):
         return 0.0
     return math.exp(
         s * math.log(4.0)
@@ -213,14 +207,11 @@ def kernel_row(s: float, radius: int) -> np.ndarray:
     radius = int(radius)
     if radius < 0:
         raise ValueError("radius must be non-negative")
-    near_int = _is_near_integer(s)
-    if near_int and round(s) < 1:
-        raise ValueError(f"order {s!r} is too close to zero")
     out = np.zeros(radius + 1)
     m = math.ceil(s)
     for mu in range(1, min(m, radius) + 1):
         out[mu] = kernel_extended(s, mu)
-    if radius > m and not near_int:
+    if radius > m and s != m:
         mu = np.arange(m + 1, radius + 1, dtype=float)
         out[m + 1 :] = math.copysign(1.0, _sinpi(s)) * np.exp(_log_abs_kernel_far(s, mu))
     return out
@@ -265,7 +256,7 @@ def build_table(s: float, radius: int) -> KernelTable:
         )
     values = kernel_row(s, radius)
     total = kernel_sum(s)
-    if _is_near_integer(s):
+    if s == round(s):
         tail = 0.0
     else:
         if abs(s - round(s)) < 1e-6 and round(s) >= 1:

@@ -192,12 +192,11 @@ def _convolve(
 
 
 def _stencil(m: int) -> np.ndarray:
-    """Coefficients (-1)^{j-m} C(2m, j), j = 0..2m; exact integers as floats."""
-    out = np.empty(2 * m + 1)
-    for j in range(2 * m + 1):
-        sign = 1.0 if (j - m) % 2 == 0 else -1.0
-        out[j] = sign * binomial(2 * m, j)
-    return out
+    """Coefficients (-1)^{j-m} C(2m, j), j = 0..2m; exact integers as floats.
+
+    Built term by term, so a stencil beyond doubles (m >= 515) overflows
+    before anything of size m is allocated."""
+    return np.array([(-1.0) ** (j - m) * binomial(2 * m, j) for j in range(2 * m + 1)])
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,18 @@
 """Command-line surface: formats, manifests, exit codes, reproducibility."""
 
+import contextlib
+import io
 import math
 import os
+import re
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fraclat
 from fraclat import Sequence, delta, format_sequence, heat_semigroup, sup_dist
@@ -69,6 +75,15 @@ def test_kernel_integer_order_rows_vanish(tmp_path):
 
 def test_kernel_invalid_order_exits_2(tmp_path):
     assert main(["kernel", "--s", "-1", "--radius", "8", "--out", str(tmp_path / "x")]) == 2
+
+
+def test_kernel_tiny_order(tmp_path):
+    # s > 0 has no lower cutoff: K_s(k) ~ s / k and A_s ~ 1
+    out = tmp_path / "k.csv"
+    assert main(["kernel", "--s", "1e-10", "--radius", "8", "--out", str(out)]) == 0
+    values = [float(row.split(",")[1]) for row in _data_rows(out)[1:]]
+    assert values[0] == 0.0
+    assert all(0.0 < v < 1e-9 for v in values[1:])
 
 
 _HUGE = 10**15  # beyond any address space: an allocation would fail at once
@@ -181,6 +196,25 @@ def test_apply_quadrature_custom_scheme(tmp_path):
     assert rc == 0
     got = _as_sequence(_data_rows(out))
     assert got.at(0) == pytest.approx(4.0 / math.pi, abs=1e-6)
+
+
+def test_apply_quadrature_next_to_integer_exits_2(tmp_path):
+    # the oracle integrates against 1/Gamma(-sigma), so it refuses orders
+    # within NEAR_INTEGER_TOL of an integer: one usage line, no traceback
+    out = tmp_path / "q.csv"
+    done = _run_cli(["apply", "--s", "2.0000000001", "--path", "quadrature", "--out", str(out)])
+    assert done.returncode == 2
+    assert done.stderr.splitlines() == ["error: path 'quadrature' requires a non-integer order"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("path, s", [("binomial", "1e9"), ("quadrature", "1000000000.5")])
+def test_apply_huge_stencil_exits_1_with_one_message(tmp_path, path, s):
+    # C(2m, m) leaves the doubles at m = 515: the stencil overflows before
+    # a row of 2m + 1 entries is allocated
+    done = _run_cli(["apply", "--s", s, "--path", path, "--out", str(tmp_path / "b.csv")])
+    assert done.returncode == 1
+    assert done.stderr.splitlines() == ["numerical failure: math range error"]
 
 
 def test_apply_budget_exceeded_exits_3(tmp_path):
@@ -476,8 +510,9 @@ def test_evolve_unstable_step_exits_3(tmp_path):
         ["evolve", "--s", "0.5", "--t", "1", "--dt", "0.01", "--input", "BIG"],
         ["localize", "--s", "0.5", "--c", "1e308", "--seeds", "1"]
         + ["--window", "8", "--kernel-radius", "4"],
+        ["apply", "--s", "2", "--path", "binomial", "--input", "BIG"],
     ],
-    ids=["evolve-nan", "localize-overflow"],
+    ids=["evolve-nan", "localize-overflow", "binomial-overflow"],
 )
 def test_overflow_exits_1_with_one_message(argv, tmp_path):
     # numpy raises on overflow and invalid operations, so no run writes inf or
@@ -637,6 +672,73 @@ def test_non_finite_input_exits_2(tmp_path, capsys, argv):
     assert main(argv + ["--input", str(bad), "--out", str(out)]) == 2
     assert "non-finite" in capsys.readouterr().err
     assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# robustness
+# ---------------------------------------------------------------------------
+
+_NON_FINITE = re.compile(r"\b(nan|inf)\b", re.IGNORECASE)
+
+
+def _finite(lo, hi):
+    """Finite doubles: ordinary ones in [lo, hi], so that runs reach the
+    numerics, or any of either sign, subnormals and the largest included."""
+    return st.one_of(
+        st.floats(min_value=lo, max_value=hi),
+        st.sampled_from([5e-324, 1e-300, 1e-10, 2.0000000001, 1e300, 1.7976931348623157e308]),
+        st.floats(allow_nan=False, allow_infinity=False),
+    )
+
+
+@st.composite
+def _small_command(draw):
+    """argv of one small run: window <= 32, at most 500 steps and 2 seeds.
+
+    Floats go in ``--flag=value`` form, so argparse takes -1e300 as a value.
+    """
+    command = draw(st.sampled_from(["kernel", "series", "binomial", "evolve", "localize"]))
+    argv = [f"--s={draw(_finite(0.01, 30.0))!r}"]
+    if command == "kernel":
+        return ["kernel", *argv, "--radius", str(draw(st.integers(0, 32)))], False
+    if command in ("series", "binomial"):
+        return ["apply", *argv, "--path", command, "--radius", str(draw(st.integers(1, 32)))], True
+    argv += [f"--c={draw(_finite(0.0, 10.0))!r}", "--window", str(draw(st.integers(1, 32)))]
+    if command == "evolve":
+        dt = draw(_finite(1e-4, 0.05))
+        t = draw(st.integers(0, 500)) * dt
+        sign = draw(st.sampled_from(["plus", "minus"]))
+        return ["evolve", *argv, f"--t={t!r}", f"--dt={dt!r}", "--sign", sign], True
+    seeds = draw(st.sampled_from(["1", "1,2"]))
+    argv += ["--seeds", seeds, "--kernel-radius", str(draw(st.integers(1, 32)))]
+    argv += ["--depth", str(draw(st.integers(1, 8))), "--probes", "odd,delta:1"]
+    return ["localize", *argv], False
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(_small_command(), st.lists(_finite(-1.0, 1.0), min_size=1, max_size=4))
+def test_cli_extreme_values_exit_cleanly(command, values):
+    # every run ends in a documented exit code, and no run that exits 0
+    # writes nan or inf, whatever finite order, amplitude, step or input
+    argv, takes_input = command
+    with tempfile.TemporaryDirectory() as tmp:
+        if takes_input:
+            path = os.path.join(tmp, "u.txt")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(format_sequence(Sequence(0, np.array(values))))
+            argv = [*argv, "--input", path]
+        out = os.path.join(tmp, "o.csv")
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            rc = main([*argv, "--out", out])
+        assert rc in (0, 1, 2, 3)
+        assert "Traceback" not in stderr.getvalue()
+        if rc == 0:
+            # the manifest also echoes the arguments, the default --budget inf among them
+            with open(out, encoding="utf-8") as fh:
+                lines = fh.read().splitlines()
+            written = [ln for ln in lines if ln[2:].partition(" = ")[0] in _COMPUTED or ln[0] != "#"]
+            assert not _NON_FINITE.search("\n".join([*written, stdout.getvalue()])), argv
 
 
 # ---------------------------------------------------------------------------

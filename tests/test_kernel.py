@@ -7,6 +7,8 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fraclat import (
     NearIntegerOrderError,
@@ -137,6 +139,37 @@ def test_continuity_across_integer(m):
     assert sups[2] < 1e-4
 
 
+def _kernel_mpmath(s, k):
+    """K_s(k) from the product form in 40 digits; rgamma is 0 at the poles."""
+    with mpmath.workdps(40):
+        s = mpmath.mpf(s)
+        return float(
+            (-1) ** (k + 1) * mpmath.gamma(2 * s + 1) * mpmath.rgamma(1 + s + k) * mpmath.rgamma(1 + s - k)
+        )
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_kernel_next_to_integers_against_mpmath(n):
+    # one formula on both sides of the integer: no band where the far lags
+    # drop to 0, and the product form's last Gamma argument s - (mu - 1) is
+    # exact where 1 + s - mu lost up to seven digits
+    for d in (1e-12, 5e-10, 2e-9, 1e-8, 1e-7):
+        for s in (n + d, n - d):
+            row = kernel_row(s, n + 3)
+            for k in range(1, n + 4):
+                ref = _kernel_mpmath(s, k)
+                assert row[k] == pytest.approx(ref, rel=1e-12, abs=0.0), (s, k)
+                assert kernel_extended(s, k) == pytest.approx(ref, rel=1e-12, abs=0.0), (s, k)
+
+
+@pytest.mark.parametrize("s", [1e-10, 1e-9])
+def test_tiny_orders_against_mpmath(s):
+    # every s > 0 is a valid order; K_s(k) ~ s / k there
+    row = kernel_row(s, 8)
+    for k in range(1, 9):
+        assert row[k] == pytest.approx(_kernel_mpmath(s, k), rel=1e-12, abs=0.0)
+
+
 # ---------------------------------------------------------------------------
 # kernel sum
 # ---------------------------------------------------------------------------
@@ -202,6 +235,24 @@ def test_tail_bound_is_true_upper_bound(s):
     t_wide = build_table(s, 4 * radius)
     assert measured + t_wide.tail_bound <= t.tail_bound * (1.0 + 1e-12)
     assert measured <= t.tail_bound
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(min_value=1, max_value=12),
+    st.sampled_from([-1.0, 1.0]),
+    st.floats(min_value=1e-15, max_value=1e-6),
+    st.floats(min_value=0.0, max_value=1.0),
+)
+def test_table_sum_within_tail_next_to_integers(n, sign, d, where):
+    # orders within 1e-6 of an integer take build_table's empirical tail
+    s = n + sign * d
+    lo = max(2, math.ceil(s) + 1)
+    radius = lo + round(where * (1024 - lo))
+    t = build_table(s, radius)
+    partial = t.values[0] + 2.0 * t.values[1:].sum()
+    fp_allowance = 1e-12 * (abs(t.total_sum) + float(np.abs(t.values).sum()))
+    assert abs(partial - t.total_sum) <= t.tail_bound + fp_allowance
 
 
 def test_table_radius_validation():
