@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .checks import ZEROTH_POWER_CONVENTION, run_checks
-from .kernel import build_table
+from .kernel import _check_order, build_table
 from .lattice import Sequence, delta, norm, parse_sequence
 from .localization import (
     HamiltonianConfig,
@@ -93,6 +93,13 @@ def _sequence_rows(seq: Sequence):
 def _check_size(flag: str, value: int, limit: int = _MAX_SIZE) -> None:
     if value > limit:
         raise ValueError(f"{flag} {value} exceeds the size limit {limit}")
+
+
+def _check_order_flag(s: float) -> None:
+    try:
+        _check_order(s)
+    except ValueError as exc:
+        raise ValueError(f"--s: {exc}") from None
 
 
 def _read_sequence(path: str) -> Sequence:
@@ -303,6 +310,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         with np.errstate(over="raise", invalid="raise"):
+            if "s" in vars(args):
+                _check_order_flag(args.s)
             return args.func(args)
     except (BudgetExceededError, StabilityError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -30,6 +30,7 @@ certified bound on the absolute kernel mass beyond the table radius.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -46,6 +47,7 @@ from .special import (
 __all__ = [
     "NearIntegerOrderError",
     "NEAR_INTEGER_TOL",
+    "MAX_ORDER",
     "kernel_value",
     "kernel_value_reference",
     "kernel_limit_at_integer",
@@ -67,10 +69,39 @@ class NearIntegerOrderError(ValueError):
     route that needs a non-integer order; kernel_extended takes every s > 0."""
 
 
+def _log_kernel_sum(s: float) -> float:
+    """ln A_s = ln(4^s G(1/2+s) / (sqrt(pi) G(1+s)))."""
+    return s * math.log(4.0) + log_gamma(s + 0.5) - 0.5 * math.log(math.pi) - log_gamma(s + 1.0)
+
+
+def _largest_order() -> float:
+    """The largest double s with ln A_s <= ln(largest double), by bisection
+    (A_s grows with s): about 514.66, as C(1028, 514) is a double and
+    C(1030, 515) is not."""
+    lo, hi = 1.0, 1024.0
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return lo
+        if _log_kernel_sum(mid) <= math.log(sys.float_info.max):
+            lo = mid
+        else:
+            hi = mid
+
+
+# beyond this order neither A_s nor the stencil of an integer order is a double
+MAX_ORDER = _largest_order()
+
+
 def _check_order(s: float) -> float:
     s = float(s)
     if not math.isfinite(s) or s <= 0.0:
         raise ValueError(f"order must be positive and finite, got {s!r}")
+    if s > MAX_ORDER:
+        raise ValueError(
+            f"order must be at most {MAX_ORDER!r}, where the kernel sum A_s leaves"
+            f" the doubles, got {s!r}"
+        )
     return s
 
 
@@ -169,12 +200,7 @@ def kernel_sum(s: float) -> float:
     s = _check_order(s)
     if s == round(s):
         return binomial(2 * round(s), round(s))
-    return math.exp(
-        s * math.log(4.0)
-        + log_gamma(s + 0.5)
-        - 0.5 * math.log(math.pi)
-        - log_gamma(s + 1.0)
-    )
+    return math.exp(_log_kernel_sum(s))
 
 
 def _log_abs_gamma_minus(s: float) -> float:

@@ -49,16 +49,26 @@ __all__ = [
 _MASK64 = (1 << 64) - 1
 _KEY_SALT = 0x9E3779B97F4A7C15  # tags this use of Philox; arbitrary fixed odd word
 
-# evolve's step-matrix route costs one batched RK4 step per window site to
-# build P, and then steps by one (2W+1)^2 gemv instead of four single-row
-# convolutions.  CPU time per evolve call, single rows over step matrix
-# (s = 0.5, one thread, 2-vCPU Xeon): with as many steps as sites 2.0-2.6x
-# at W = 128 and 192, 1.3-1.4x at W = 256, 0.85-1.0x at W = 320, 0.85x at
-# W = 384; at 2000 steps 2.2x at W = 256, 1.45x at W = 320, 0.96x at W = 384.
+# evolve's step-matrix route builds P from one batched RK4 step per window
+# site, takes the first _STEP_BLOCK steps by (2W+1)^2 gemv and every later
+# block of _STEP_BLOCK steps by one gemm with P^_STEP_BLOCK, which five
+# squarings form at 10 (2W+1)^3 flops.  CPU time of the steps, single rows
+# over step matrix (s = 0.5, one thread, 2-vCPU Xeon): with as many steps as
+# sites 3.4x at W = 64, 1.8x at W = 128, 1.3x at W = 192, 0.89x at W = 256
+# and 0.69x at W = 320; with half as many 1.6x at W = 64 and 0.84x at
+# W = 128; at 2000 steps 10x at W = 128, 2.7x at W = 256 and 1.8x at W = 320.
+# So the route starts at as many steps as sites (at W = 256 the crossover is
+# about 1.1 times that), and the window stays at two matrices of 2.1 MB.
 _STEP_MATRIX_MAX_SITES = 513  # W <= 256
 # rows per batched RK4 step: at W = 128 a row costs 80, 73 and 84 us in
 # batches of 8, 16 and 32, against 261 us alone
 _STEP_MATRIX_CHUNK = 16
+# steps per gemm, a power of two; the squarings run in chunks of as many
+# rows, as a block does.  At W = 128 and 4000 steps a warm evolve call took
+# 36 ms of CPU with blocks of 16 and 30 ms with 32, against 53 ms by gemv.  Chunks
+# of 32 rows square at about 40 GFLOPS, of 16 at 21-25; one whole product
+# ran at 42-54 but touched 0.35 MB more of the BLAS buffer at W = 128.
+_STEP_BLOCK = 32
 
 
 class SupportOverflowError(ValueError):
@@ -321,9 +331,11 @@ def trajectory(
     H is fixed, so every RK4 step is the same matrix P = sum_{j<=4} (hM)^j / j!
     with M = sign * H.  When the window has at most 513 sites (W <= 256) and
     the run takes at least as many steps as the window has sites, P is built
-    once (8 (2W+1)^2 bytes, 2.1 MB at W = 256) and each step is one
-    matrix-vector product; otherwise each step evaluates the four stages by
-    convolution.  The routes agree to rounding.
+    once, the first 32 states are products with P, and P^32 comes from five
+    squarings; each later block of 32 states is then one product of the 32
+    states before it with P^32.  The route holds at most two window
+    matrices, 2 . 8 (2W+1)^2 bytes (4.2 MB at W = 256).  Otherwise each step
+    evaluates the four stages by convolution.  The routes agree to rounding.
 
     ``trunc_bound`` is t times the largest, over the steps so far, of a
     proven bound on the values that the step's four stages place beyond the
@@ -369,14 +381,16 @@ def trajectory(
     rk4 = (sign * grid, diag, kern, spectrum)
     weights = _clip_weights(grid, diag, kern)
     route = _matrix_steps if length <= _STEP_MATRIX_MAX_SITES and steps >= length else _row_steps
-    y, clipped = u0.window(-w, w), 0.0
-    for k, (y, clip) in enumerate(route(y, steps, rk4, weights), 1):
-        clipped = max(clipped, clip)
-        if k == mark:
-            t = t_end * k / steps
-            yield t, Sequence(-w, y, trunc_bound=clipped * t)
+    k, clipped = 0, 0.0
+    for ys, clips in route(u0.window(-w, w), steps, rk4, weights):
+        # ys holds the states after steps k + 1, ..., k + len(ys)
+        while mark is not None and mark <= k + len(ys):
+            t = t_end * mark / steps
+            bound = max(clipped, *clips[: mark - k])
+            yield t, Sequence(-w, ys[mark - k - 1], trunc_bound=bound * t)
             mark = next(marks, None)
-    yield t_end, Sequence(-w, y, trunc_bound=clipped * t_end)
+        k, clipped = k + len(ys), max(clipped, *clips)
+    yield t_end, Sequence(-w, ys[-1], trunc_bound=clipped * t_end)
 
 
 def evolve(
@@ -421,30 +435,53 @@ def _clip_weights(h: float, diag: np.ndarray, kern: np.ndarray) -> np.ndarray:
 
 def _row_steps(
     y: np.ndarray, steps: int, rk4: tuple, weights: np.ndarray
-) -> Iterator[tuple[np.ndarray, float]]:
-    """Each step's state and the bound ``weights . |y|`` on the values its
-    stages clip, with y the state it starts from; four convolutions a step."""
+) -> Iterator[tuple[np.ndarray, list[float]]]:
+    """Blocks of one step: the state as a row, and the bound ``weights . |y|``
+    on the values its stages clip, with y the state it starts from; four
+    convolutions a step."""
     for _ in range(steps):
         clip = float(np.abs(y) @ weights)
         y = _rk4_rows(y, *rk4)
-        yield y, clip
+        yield y[None], [clip]
 
 
 def _matrix_steps(
     y: np.ndarray, steps: int, rk4: tuple, weights: np.ndarray
-) -> Iterator[tuple[np.ndarray, float]]:
-    """The same pairs as ``_row_steps``, each state by one product with P."""
+) -> Iterator[tuple[np.ndarray, list[float]]]:
+    """The same states and bounds as ``_row_steps``, in blocks of up to
+    ``_STEP_BLOCK`` steps: the first block by products with P, each later
+    block by one product of the block before it with P^_STEP_BLOCK."""
+    n, m = y.size, _STEP_BLOCK
     # row i of pt is P e_i, so y @ pt is one RK4 step P y
-    pt = np.empty((y.size, y.size))
-    for i in range(0, y.size, _STEP_MATRIX_CHUNK):
-        rows = np.eye(min(_STEP_MATRIX_CHUNK, y.size - i), y.size, i)
+    pt = np.empty((n, n))
+    for i in range(0, n, _STEP_MATRIX_CHUNK):
+        rows = np.eye(min(_STEP_MATRIX_CHUNK, n - i), n, i)
         pt[i : i + len(rows)] = _rk4_rows(rows, *rk4)
-    for first in range(0, steps, _STEP_MATRIX_CHUNK):
-        ys = [y]
-        for _ in range(min(_STEP_MATRIX_CHUNK, steps - first)):
-            ys.append(ys[-1] @ pt)
-        yield from zip(ys[1:], (np.abs(ys[:-1]) @ weights).tolist())
-        y = ys[-1]
+    # xs holds the state a block starts from, then the block's states
+    xs = np.empty((min(m, steps) + 1, n))
+    xs[0] = y
+    for j in range(1, len(xs)):
+        np.matmul(xs[j - 1], pt, out=xs[j])
+    yield xs[1:], (np.abs(xs[:-1]) @ weights).tolist()
+    if steps <= m:
+        return
+    # P^m by squaring, between pt and one spare array
+    q, spare = pt, np.empty_like(pt)
+    del pt
+    for _ in range(m.bit_length() - 1):
+        for i in range(0, n, m):
+            np.matmul(q[i : i + m], q, out=spare[i : i + m])
+        q, spare = spare, q
+    del spare
+    # the state m steps after each of a block's states ends the next block;
+    # the last block takes only the steps up to the end
+    for done in range(m, steps, m):
+        b = min(m, steps - done)
+        ys = np.empty((b + 1, n))
+        ys[0] = xs[-1]
+        np.matmul(xs[1 : b + 1], q, out=ys[1:])
+        yield ys[1:], (np.abs(ys[:-1]) @ weights).tolist()
+        xs = ys
 
 
 def _rk4_rows(

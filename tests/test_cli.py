@@ -18,6 +18,7 @@ import fraclat
 from fraclat import Sequence, delta, format_sequence, heat_semigroup, sup_dist
 from fraclat import cli
 from fraclat.cli import main
+from fraclat.kernel import MAX_ORDER
 
 
 def _data_rows(path):
@@ -208,13 +209,29 @@ def test_apply_quadrature_next_to_integer_exits_2(tmp_path):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("path, s", [("binomial", "1e9"), ("quadrature", "1000000000.5")])
-def test_apply_huge_stencil_exits_1_with_one_message(tmp_path, path, s):
-    # C(2m, m) leaves the doubles at m = 515: the stencil overflows before
-    # a row of 2m + 1 entries is allocated
-    done = _run_cli(["apply", "--s", s, "--path", path, "--out", str(tmp_path / "b.csv")])
-    assert done.returncode == 1
-    assert done.stderr.splitlines() == ["numerical failure: math range error"]
+# A_s, and so C(2m, m), leaves the doubles past kernel.MAX_ORDER (about
+# 514.66); each of these exited 1 ("math range error", or "int too large to
+# convert to float" for evolve) before the order had a ceiling
+@pytest.mark.parametrize(
+    "argv, s",
+    [
+        (["apply", "--path", "binomial"], "1e9"),
+        (["apply", "--path", "quadrature"], "1000000000.5"),
+        (["apply", "--path", "binomial"], "520"),
+        (["kernel", "--radius", "600"], "520.5"),
+        (["evolve", "--window", "4", "--t", "0.01", "--dt", "0.01"], "1.7976931348623157e308"),
+    ],
+    ids=["binomial-1e9", "quadrature-1000000000.5", "binomial-520", "kernel-520.5", "evolve"],
+)
+def test_order_past_the_ceiling_exits_2_naming_s(tmp_path, argv, s):
+    out = tmp_path / "x.csv"
+    done = _run_cli([*argv, f"--s={s}", "--out", str(out)])
+    assert done.returncode == 2
+    assert done.stderr.splitlines() == [
+        f"error: --s: order must be at most {MAX_ORDER!r}, where the kernel sum A_s"
+        f" leaves the doubles, got {float(s)!r}"
+    ]
+    assert not out.exists()
 
 
 def test_apply_budget_exceeded_exits_3(tmp_path):

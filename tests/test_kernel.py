@@ -184,6 +184,16 @@ def test_kernel_sum_closed_values():
     assert kernel_sum(2.0) == pytest.approx(6.0, rel=1e-13)
 
 
+def test_max_order_is_the_last_order_with_a_finite_kernel_sum():
+    assert 514.0 < _kernel.MAX_ORDER < 515.0
+    assert math.isfinite(kernel_sum(_kernel.MAX_ORDER)) and math.isfinite(kernel_sum(514))
+    beyond = math.nextafter(_kernel.MAX_ORDER, math.inf)
+    with pytest.raises(OverflowError):
+        math.exp(_kernel._log_kernel_sum(beyond))
+    with pytest.raises(ValueError, match="order must be at most"):
+        kernel_sum(beyond)
+
+
 def test_kernel_sum_matches_direct_summation():
     # brute-force partial sums approach A_s from one side at the tail rate
     for s in (0.75, 1.25, 2.5):

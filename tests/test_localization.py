@@ -641,6 +641,45 @@ def test_trajectory_checkpoints_leave_the_run_unchanged(w):
         assert state.trunc_bound == pytest.approx(alone.trunc_bound, rel=1e-9)
 
 
+# the step-matrix route takes 32 steps a block; checkpoints every 16 steps
+# fall on the block edges 32, 64, 96 and halfway between them
+@pytest.mark.parametrize("steps", [31, 32, 33, 101])
+@pytest.mark.parametrize("sign", [-1, +1])
+@pytest.mark.parametrize("s", [0.5, 2.5])
+def test_trajectory_block_edges_match_rk4_reference(s, sign, steps, monkeypatch):
+    w = 12
+    monkeypatch.setattr(localization, "_STEP_MATRIX_MAX_SITES", 2 * w + 1)
+    monkeypatch.setattr(localization, "_row_steps", None)  # the matrix route or nothing
+    cfg = HamiltonianConfig(s=s, kernel_radius=1, disorder=sample_disorder(1.0, 3, w))
+    pairs = list(trajectory(delta(w), cfg, steps / 100, 0.01, sign=sign, every=0.16))
+    assert len(pairs) == (steps - 1) // 16 + 1
+    for t, state in pairs:
+        want, want_bound = _rk4_reference(delta(w), cfg, t, 0.01, sign)
+        peak = np.max(np.abs(want))
+        assert np.max(np.abs(state.window(-w, w) - want)) <= 1e-12 * peak
+        floor = 1e-14 * t * kernel_sum(s) * max(1.0, peak)
+        assert state.trunc_bound >= want_bound * (1.0 - 1e-12) - floor
+
+
+def test_evolve_step_matrix_traces_at_most_two_and_a_half_window_matrices():
+    """The step-matrix route holds P and one spare array of 8 (2W+1)^2 bytes
+    each, plus blocks of 33 states.  tracemalloc sees numpy's arrays but not
+    the BLAS/LAPACK workspace, so the benchmark's peak_rss_mb stays the real
+    gate on memory."""
+    import tracemalloc
+
+    w = 128
+    cfg = HamiltonianConfig(s=0.5, kernel_radius=w, disorder=sample_disorder(1.0, 1, w))
+    evolve(delta(0), cfg, 0.01, 0.01, sign=-1)  # fills the convolution cache
+    tracemalloc.start()
+    try:
+        evolve(delta(0), cfg, 40.0, 0.01, sign=-1)  # 4,000 steps
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * 8 * (2 * w + 1) ** 2
+
+
 @pytest.mark.parametrize(
     "every, match", [(math.nan, "finite"), (math.inf, "finite"), (0.05, "at least dt")]
 )
