@@ -453,7 +453,8 @@ def apply_quadrature_oracle(u: Sequence, s: float, *, radius: int = 64) -> Seque
             return Sequence(v.offset - radius, fine, trunc_bound=ftol)
         if not math.isfinite(drift) or n >= _LAST_NODES:
             raise QuadratureConvergenceError(
-                f"the {n // 2 + 1}- and {n + 1}-node rules differ by {drift:.3e} (limit 1e-6)"
+                f"at order {s!r} the {n // 2 + 1}- and {n + 1}-node rules differ by"
+                f" {drift:.3e} (limit 1e-6)"
             )
         coarse = fine
 

@@ -1,6 +1,7 @@
 """Command-line surface: formats, manifests, exit codes, reproducibility."""
 
 import contextlib
+import importlib.util
 import io
 import math
 import os
@@ -8,6 +9,7 @@ import re
 import subprocess
 import sys
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -85,6 +87,25 @@ def test_kernel_tiny_order(tmp_path):
     values = [float(row.split(",")[1]) for row in _data_rows(out)[1:]]
     assert values[0] == 0.0
     assert all(0.0 < v < 1e-9 for v in values[1:])
+
+
+# non-integer orders above about 85.4 exited 1 ("math range error") while the
+# table tail came from the asymptotic decay constant, which leaves the doubles
+@pytest.mark.parametrize(
+    "argv, key",
+    [
+        (["kernel", "--s", "90.5", "--radius", "200"], "tail_bound"),
+        (["apply", "--s", "90.5", "--radius", "200"], "trunc_bound"),
+        (["kernel", "--s", "514.5", "--radius", "516"], "tail_bound"),
+        (["apply", "--s", "514.5", "--radius", "516"], "trunc_bound"),
+    ],
+    ids=["kernel-90.5", "apply-90.5", "kernel-514.5", "apply-514.5"],
+)
+def test_large_non_integer_order_exits_0_with_a_finite_bound(tmp_path, argv, key):
+    out = tmp_path / "x.csv"
+    assert main([*argv, "--out", str(out)]) == 0
+    value = re.search(rf"^# {key} = (.+)$", out.read_text(encoding="utf-8"), re.M).group(1)
+    assert math.isfinite(float(value))
 
 
 _HUGE = 10**15  # beyond any address space: an allocation would fail at once
@@ -277,8 +298,20 @@ def test_apply_quadrature_overflow_prints_one_message(tmp_path):
     done = _run_cli(argv + ["--out", str(tmp_path / "q.csv")])
     assert done.returncode == 1
     assert done.stderr.splitlines() == [
-        "numerical failure: the 65- and 129-node rules differ by nan (limit 1e-6)"
+        "numerical failure: at order 0.5 the 65- and 129-node rules differ by nan (limit 1e-6)"
     ]
+
+
+@pytest.mark.parametrize(
+    "s, rules", [("514.5", "65- and 129-node"), ("20.5", "513- and 1025-node")]
+)
+def test_apply_quadrature_failure_names_the_order(tmp_path, s, rules):
+    out = tmp_path / "q.csv"
+    done = _run_cli(["apply", "--s", s, "--path", "quadrature", "--out", str(out)])
+    assert done.returncode == 1
+    [line] = done.stderr.splitlines()
+    assert line.startswith(f"numerical failure: at order {s} the {rules} rules differ by ")
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -298,6 +331,19 @@ def test_validate_quick(capsys):
     assert "PASS" in out and "FAIL" not in out
     assert "convention in use" in out
     assert "identity" in out
+
+
+def test_validate_rows_pass_the_bench_oracle_check(capsys):
+    # the benchmark's oracle workload holds these rows to its recorded reference;
+    # its own module decides, loaded by path so that the rule is not copied here
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    rc = main(["validate"])
+    rows = workloads.data_rows("oracle", "", capsys.readouterr().out)
+    assert rows
+    assert workloads.check("oracle", 0, rc, rows, workloads.load_reference()) == []
 
 
 def test_validate_detects_tampered_gamma(monkeypatch):

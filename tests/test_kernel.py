@@ -255,7 +255,7 @@ def test_tail_bound_is_true_upper_bound(s):
     st.floats(min_value=0.0, max_value=1.0),
 )
 def test_table_sum_within_tail_next_to_integers(n, sign, d, where):
-    # orders within 1e-6 of an integer take build_table's empirical tail
+    # next to an integer the exact tail carries the small factor sin(pi s)
     s = n + sign * d
     lo = max(2, math.ceil(s) + 1)
     radius = lo + round(where * (1024 - lo))
@@ -271,13 +271,39 @@ def test_table_radius_validation():
 
 
 def test_table_near_pole_fallback():
-    # within 1e-6 of an integer the closed-form constant is bypassed; the
-    # certificate must still envelope the measured tail
+    # within 1e-6 of an integer the exact tail is small (it carries sin(pi s));
+    # the certificate must still envelope the measured tail
     s = 2.0 + 5e-7
     t = build_table(s, 64)
     wide = kernel_row(s, 512)
     measured = 2.0 * np.abs(wide[65:]).sum()
     assert measured <= t.tail_bound
+
+
+def _tail_mpmath(s, radius):
+    """sum_{|k| > radius} |K_s(k)| = |sin(pi s)| G(2s+1) G(R+1-s) / (pi s G(R+1+s))."""
+    with mpmath.workdps(40):
+        s = mpmath.mpf(s)
+        return abs(mpmath.sinpi(s)) * mpmath.gamma(2 * s + 1) * mpmath.gamma(radius + 1 - s) / (
+            mpmath.pi * s * mpmath.gamma(radius + 1 + s)
+        )
+
+
+_TAIL_ORDERS = [0.25, 2.5, 5.5, 7.3, 11.95, 19.75, 85.5, 300.5] + [
+    n + d for n in (2, 3) for d in (5e-7, -5e-7, 2e-9, -2e-9)
+]
+
+
+@pytest.mark.parametrize("s", _TAIL_ORDERS)
+@pytest.mark.parametrize("at", ["min", "1024"])
+def test_tail_bound_is_the_padded_exact_tail(s, at):
+    # the asymptotic estimate it replaced was 0.046x the tail at (11.95, 13),
+    # 1.2e7x at (3 + 5e-7, 5), and overflowed above s = 85.4; at (300.5, 1024)
+    # the tail is 2.7e-398, so both sides are 0 there
+    radius = math.ceil(s) + 1 if at == "min" else 1024
+    exact = _tail_mpmath(s, radius)
+    bound = build_table(s, radius).tail_bound
+    assert float(exact) <= bound <= 1.5 * float(exact) * (1.0 + 1e-10)
 
 
 # ---------------------------------------------------------------------------
